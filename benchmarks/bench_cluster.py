@@ -97,6 +97,7 @@ def _assert_detectors_uninstalled() -> None:
     from repro.hw.cpu import Core
     from repro.mem.arena.gauntlet import Gauntlet
     from repro.sim.engine import Engine
+    from repro.sim.fluid import FluidModel
     from repro.sim.process import Process
     from repro.workloads import vector_sum
 
@@ -115,6 +116,7 @@ def _assert_detectors_uninstalled() -> None:
         "PoolManager._obs": _Manager._obs,
         "ClusterDriver._obs": _Driver._obs,
         "Gauntlet._obs": Gauntlet._obs,
+        "FluidModel._obs": FluidModel._obs,
         "workloads.vector_sum._obs": vector_sum._obs,
     }
     stale = [name for name, value in slots.items() if value is not None]

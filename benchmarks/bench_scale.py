@@ -81,8 +81,9 @@ def _calibrate() -> float:
 
 
 def _manager(server_count: int = 4) -> PoolManager:
+    # the callback-chained transport, as experiments/scale.py runs S1
     deployment = build_logical(
-        "link0", server_count=server_count, server_dram_bytes=mib(8)
+        "link0", server_count=server_count, server_dram_bytes=mib(8), hybrid_fluid=True
     )
     runtime = LmpRuntime(
         deployment,
@@ -207,6 +208,7 @@ def _assert_seams_cold() -> None:
     from repro.core.api import LmpSession
     from repro.fabric.transport import MemoryTransport
     from repro.sim.engine import Engine
+    from repro.sim.fluid import FluidModel
     from repro.sim.process import Process
 
     slots = {
@@ -218,6 +220,7 @@ def _assert_seams_cold() -> None:
         "PoolManager._obs": PoolManager._obs,
         "ClusterDriver._obs": ClusterDriver._obs,
         "ScaleDriver._obs": ScaleDriver._obs,
+        "FluidModel._obs": FluidModel._obs,
     }
     stale = [name for name, value in slots.items() if value is not None]
     if stale:

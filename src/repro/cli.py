@@ -136,6 +136,7 @@ def run_experiments(
         started = time.perf_counter()
         if obs_dir is not None:
             from repro.obs import Observability, latency_breakdown, render_breakdown
+            from repro.obs.report import solver_line
 
             obs = Observability()
             with obs.activated():
@@ -145,6 +146,9 @@ def run_experiments(
                 latency_breakdown(obs.recorder.spans),
                 title=f"{name}: latency breakdown",
             )
+            totals = obs.solver_totals()
+            if totals is not None:
+                breakdown += "\n" + solver_line(totals)
         else:
             result = runner()
             breakdown = ""

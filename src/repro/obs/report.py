@@ -11,7 +11,10 @@ lands in ``other``.
 
 Works on live :class:`~repro.obs.tracing.Span` objects or on the plain
 dicts of a ``spans.json`` dump, so the ``repro obs`` CLI renders dumps
-without re-running anything.
+without re-running anything.  A dump whose run built fluid models also
+gets one ``fluid solver`` line: how many water-filling passes ran, the
+mean ``(path, rate_cap)`` groups and flows each one solved, and the
+share that took the single-group fast path.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ from repro.errors import ObservabilityError
 
 #: the latency categories, in display order
 CATEGORIES = ("cache", "link", "fabric", "dram", "queue", "migration")
+
+#: the :class:`~repro.sim.fluid.FluidModel` self-counters, by attribute
+SOLVER_COUNTERS = ("recomputes", "single_group_recomputes", "groups_solved", "flows_solved")
 
 #: root-eligible components: a request tree starts at a driver request /
 #: microbenchmark repetition, or a bare session access outside any request
@@ -134,6 +140,19 @@ def render_breakdown(rows: _t.Sequence[BreakdownRow], title: str = "") -> str:
     )
 
 
+def solver_line(totals: _t.Mapping[str, float]) -> str:
+    """One line summarizing the fluid solver's self-counters."""
+    recomputes = totals["recomputes"]
+    if not recomputes:
+        return "fluid solver: 0 recomputes"
+    return (
+        f"fluid solver: {int(recomputes)} recomputes, "
+        f"{totals['groups_solved'] / recomputes:.2f} groups and "
+        f"{totals['flows_solved'] / recomputes:.2f} flows per recompute, "
+        f"{100.0 * totals['single_group_recomputes'] / recomputes:.1f}% single-group"
+    )
+
+
 # -- dump loading (the `repro obs` CLI) ---------------------------------------
 
 
@@ -149,8 +168,25 @@ def load_spans(dump_dir: _t.Any) -> list[dict[str, _t.Any]]:
     return spans
 
 
+def load_solver_totals(dump_dir: _t.Any) -> dict[str, float] | None:
+    """The ``repro_fluid_*`` counters from a dump's ``metrics.prom``, or
+    None when the run built no fluid model (or the file is absent)."""
+    path = pathlib.Path(dump_dir) / "metrics.prom"
+    if not path.is_file():
+        return None
+    values: dict[str, float] = {}
+    for line in path.read_text().splitlines():
+        name, _, value = line.partition(" ")
+        if name.startswith("repro_fluid_") and name.endswith("_total"):
+            values[name[len("repro_fluid_"):-len("_total")]] = float(value)
+    if not all(counter in values for counter in SOLVER_COUNTERS):
+        return None
+    return values
+
+
 def summarize_dump(dump_dir: _t.Any) -> str:
-    """Render one dump directory: span counts plus the breakdown table."""
+    """Render one dump directory: span counts, the fluid solver line
+    when the run had one, and the breakdown table."""
     directory = pathlib.Path(dump_dir)
     spans = load_spans(directory)
     components: dict[str, int] = {}
@@ -159,8 +195,11 @@ def summarize_dump(dump_dir: _t.Any) -> str:
     lines = [
         f"{directory}: {len(spans)} spans "
         f"({', '.join(f'{k}={v}' for k, v in sorted(components.items()))})",
-        render_breakdown(latency_breakdown(spans)),
     ]
+    totals = load_solver_totals(directory)
+    if totals is not None:
+        lines.append(solver_line(totals))
+    lines.append(render_breakdown(latency_breakdown(spans)))
     return "\n".join(lines)
 
 

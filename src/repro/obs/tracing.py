@@ -233,6 +233,7 @@ _SEAMS: tuple[tuple[str, str, str], ...] = (
     ("repro.mem.arena.gauntlet", "Gauntlet", "_obs"),
     ("repro.cluster.manager", "PoolManager", "_obs"),
     ("repro.cluster.driver", "ClusterDriver", "_obs"),
+    ("repro.sim.fluid", "FluidModel", "_obs"),
 )
 
 #: module-level seam for the §4.1 microbenchmark driver (a function, not
@@ -261,6 +262,8 @@ class Observability:
         #: id() of already-federated stat sources (dedup only; the ids
         #: never reach any output, so hash order cannot leak)
         self._federated: set[int] = set()
+        #: fluid models created while installed, in creation order
+        self._fluid_models: list[_t.Any] = []
         self.recorder.finish_hooks.append(self._on_span_finish)
 
     # -- install / uninstall -------------------------------------------------
@@ -511,6 +514,32 @@ class Observability:
             allocator=allocator,
             trace=trace,
         )
+
+    # -- fluid solver self-counters --------------------------------------------
+
+    def fluid_model(self, model: _t.Any) -> None:
+        """Register a fluid model created while installed; its solver
+        counters are scraped, summed over every model, as
+        ``repro_fluid_<counter>_total`` gauges."""
+        if not self._fluid_models:
+            self.metrics.register_source(self._scrape_fluid)
+        self._fluid_models.append(model)
+
+    def solver_totals(self) -> dict[str, int] | None:
+        """Each :data:`~repro.obs.report.SOLVER_COUNTERS` entry summed
+        over the registered fluid models; None when there are none."""
+        from repro.obs.report import SOLVER_COUNTERS
+
+        if not self._fluid_models:
+            return None
+        return {
+            name: sum(getattr(model, name) for model in self._fluid_models)
+            for name in SOLVER_COUNTERS
+        }
+
+    def _scrape_fluid(self) -> _t.Iterator[tuple[str, dict[str, str], float]]:
+        for name, value in (self.solver_totals() or {}).items():
+            yield f"repro_fluid_{name}_total", {}, float(value)
 
     # -- stat-source federation ----------------------------------------------
 

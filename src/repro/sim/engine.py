@@ -166,8 +166,9 @@ class Engine:
     def add_step_hook(self, hook: _t.Callable[["Engine"], None]) -> None:
         """Register *hook* to run before every event dispatch.
 
-        The fluid bandwidth model uses this to keep transfer progress
-        up to date with the clock.
+        Nothing in the simulator registers one (the fluid model acts only
+        at rate transitions); any hook moves dispatch onto the
+        instrumented loop.
         """
         self._step_hooks.append(hook)
         Engine._instr_epoch += 1

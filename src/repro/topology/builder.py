@@ -73,13 +73,14 @@ def build(
     """Wire the spec into hardware on a fresh engine.
 
     *scheduler* selects the engine's event-queue backend ("heap" or
-    "calendar"; see :mod:`repro.sim.scheduler`).  *hybrid_fluid* turns on
-    the transition-driven fluid solver and callback-chained transport
-    operations (``docs/performance.md``): identical timing, far fewer
-    discrete events, different traces — hence off by default.
+    "calendar"; see :mod:`repro.sim.scheduler`).  *hybrid_fluid* selects
+    the callback-chained transport operations instead of the generator
+    pipeline (``docs/performance.md``): identical timing, fewer discrete
+    events, different traces — hence off by default.  The fluid solver
+    is the same either way.
     """
     engine = Engine(seed=seed, scheduler=scheduler)
-    fluid = FluidModel(engine, transition_driven=hybrid_fluid)
+    fluid = FluidModel(engine)
     tracer = Tracer()
     switch = FabricSwitch(engine, fluid, port_count=spec.switch_ports)
 

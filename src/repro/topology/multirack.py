@@ -220,7 +220,9 @@ def build_multirack_deployment(
     plane run on it unchanged, which is what lets the 10k-tenant
     serving scenario pool memory across racks.  Server ids are flat
     (``rack * servers_per_rack + index``); names follow
-    :meth:`MultiRackSpec.server_name`."""
+    :meth:`MultiRackSpec.server_name`.  *hybrid_fluid* selects the
+    callback-chained transport operations, as in
+    :func:`~repro.topology.builder.build`."""
     dspec = DeploymentSpec(
         kind=DeploymentKind.LOGICAL,
         server_count=spec.total_servers,
@@ -229,7 +231,7 @@ def build_multirack_deployment(
         switch_ports=spec.total_servers + 1,
     )
     engine = Engine(seed=seed, scheduler=scheduler)
-    fluid = FluidModel(engine, transition_driven=hybrid_fluid)
+    fluid = FluidModel(engine)
     switch = RackedSwitch(engine, fluid, spec)
     servers: list[Server] = []
     for server_id in range(spec.total_servers):

@@ -2,12 +2,14 @@
 
 These are the reproduction's acceptance tests: each asserts a *shape*
 from the paper (who wins, by roughly what factor, where feasibility
-breaks) rather than an absolute number.  Figures run with reduced
-repetitions and coarse chunks to stay fast; the benches run the full
-configurations.
+breaks) rather than an absolute number.  Figures 2–5 run at the
+``repro run`` configuration so that, beyond the shapes, their rendered
+output is checked byte for byte against the committed result files.
 """
 
 from __future__ import annotations
+
+import pathlib
 
 import pytest
 
@@ -23,7 +25,9 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.units import mib
+
+#: the committed ``repro run`` outputs (the goldens)
+RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
 # --- T1 / T2: calibration ----------------------------------------------------------
@@ -59,22 +63,32 @@ def test_latency_ratios_match_section_4_3():
 
 @pytest.fixture(scope="module")
 def fig2():
-    return figures.run_figure("figure2", repetitions=3, chunk_bytes=mib(64))
+    return figures.run_figure("figure2")
 
 
 @pytest.fixture(scope="module")
 def fig3():
-    return figures.run_figure("figure3", repetitions=3, chunk_bytes=mib(64))
+    return figures.run_figure("figure3")
 
 
 @pytest.fixture(scope="module")
 def fig4():
-    return figures.run_figure("figure4", repetitions=2, chunk_bytes=mib(64))
+    return figures.run_figure("figure4")
 
 
 @pytest.fixture(scope="module")
 def fig5():
-    return figures.run_figure("figure5", repetitions=2, chunk_bytes=mib(64))
+    return figures.run_figure("figure5")
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+def test_figure_matches_committed_result(name, request):
+    """The rendered figure equals ``benchmarks/results/figureN.txt`` byte
+    for byte (what ``repro run figureN --out`` writes), so solver drift
+    that moves any printed digit fails here."""
+    golden = RESULTS / f"figure{name[-1]}.txt"
+    rendered = request.getfixturevalue(name).render() + "\n"
+    assert rendered == golden.read_text()
 
 
 def test_figure2_logical_up_to_4_7x_over_nocache(fig2):

@@ -31,7 +31,7 @@ from repro.obs import (
     summarize_dump,
 )
 from repro.obs.export import timeseries_csv, timeseries_json
-from repro.obs.report import iter_dump_dirs, load_spans
+from repro.obs.report import iter_dump_dirs, load_solver_totals, load_spans, solver_line
 from repro.sim.engine import Engine
 from repro.sim.stats import Histogram
 from repro.topology.builder import build_logical
@@ -91,6 +91,7 @@ SEAM_CLASSES = [
     ("repro.core.migration", "LocalityBalancer"),
     ("repro.cluster.manager", "PoolManager"),
     ("repro.cluster.driver", "ClusterDriver"),
+    ("repro.sim.fluid", "FluidModel"),
 ]
 
 
@@ -329,6 +330,26 @@ def test_dump_roundtrip_and_cli(tmp_path):
     assert summarize_obs([tmp_path / "missing"], stream=io.StringIO()) == 2
     with pytest.raises(ObservabilityError):
         load_spans(tmp_path / "missing")
+
+
+def test_figure2_solver_line_shows_grouping(tmp_path):
+    """On figure 2 the (path, rate_cap) groups are fewer than the flows
+    they solve, and both `repro run --obs` and `repro obs` say so in one
+    line."""
+    from repro.experiments import figures
+
+    obs = Observability()
+    with obs.activated():
+        figures.run_figure("figure2", repetitions=3, chunk_bytes=mib(64))
+    totals = obs.solver_totals()
+    assert totals is not None and totals["recomputes"] > 0
+    assert totals["groups_solved"] < totals["flows_solved"]
+    assert 0 < totals["single_group_recomputes"] <= totals["recomputes"]
+    obs.dump(tmp_path / "figure2")
+    assert solver_line(totals) in summarize_dump(tmp_path / "figure2")
+    assert load_solver_totals(tmp_path / "figure2") == {
+        name: float(value) for name, value in totals.items()
+    }
 
 
 def test_observability_leaves_simulation_untouched():

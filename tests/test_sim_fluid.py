@@ -3,7 +3,8 @@
 The fluid solver is the reproduction's measurement substrate, so these
 tests pin its arithmetic exactly: completion times of known scenarios,
 max-min fairness across bottlenecks, rate caps, and agreement with
-closed-form math on randomized cases (hypothesis).
+closed-form math and with a per-flow reference solver on randomized
+cases (hypothesis).
 """
 
 from __future__ import annotations
@@ -216,21 +217,106 @@ def test_single_capped_flow_matches_closed_form(size, cap, rate):
     assert engine.now == pytest.approx(size / min(cap, rate), rel=1e-6)
 
 
-# -- transition-driven (hybrid) mode -------------------------------------------
+# -- reference oracle ------------------------------------------------------
 #
-# The same solver arithmetic without the per-event step hook: progress is
-# advanced only at rate transitions.  Timing must agree with the default
-# mode to float tolerance; these tests run identical scenarios through
-# both and compare.
+# A plain per-flow Bertsekas–Gallager simulation: water-fill every active
+# flow, advance to the next arrival or completion, repeat.  It shares no
+# code with FluidModel (no groups, no virtual service, no engine), so
+# agreement with it checks the grouped solver's arithmetic end to end.
 
 
-def make_hybrid() -> tuple[Engine, FluidModel]:
-    engine = Engine()
-    return engine, FluidModel(engine, transition_driven=True)
+def reference_waterfill(
+    rates: dict[str, float], flows: list[tuple[tuple[str, ...], float]]
+) -> list[float]:
+    """Max-min fair rates for *flows* given as (path, rate_cap) pairs."""
+    remaining = {}
+    unfrozen_at: dict[str, int] = {}
+    for path, _cap in flows:
+        for name in path:
+            remaining[name] = rates[name]
+            unfrozen_at[name] = unfrozen_at.get(name, 0) + 1
+    alloc = [0.0] * len(flows)
+    unfrozen = list(range(len(flows)))
+    while unfrozen:
+        best_share, best = math.inf, None
+        for name, rem in remaining.items():
+            if unfrozen_at[name] > 0 and rem / unfrozen_at[name] < best_share:
+                best_share, best = rem / unfrozen_at[name], name
+        frozen = [i for i in unfrozen if flows[i][1] <= best_share]
+        if frozen:
+            for i in frozen:
+                alloc[i] = flows[i][1]
+        else:
+            frozen = [i for i in unfrozen if best in flows[i][0]]
+            for i in frozen:
+                alloc[i] = best_share
+        for i in frozen:
+            unfrozen.remove(i)
+            for name in flows[i][0]:
+                remaining[name] -= alloc[i]
+                unfrozen_at[name] -= 1
+    return alloc
+
+
+def reference_completions(
+    rates: dict[str, float],
+    flows: list[tuple[float, tuple[str, ...], float, float]],
+) -> list[float]:
+    """Completion time of each (start, path, size, rate_cap) flow."""
+    epsilon = FluidModel.COMPLETION_EPSILON
+    done = [math.nan] * len(flows)
+    pending = sorted(range(len(flows)), key=lambda i: flows[i][0])
+    left = {}
+    now = 0.0
+    while pending or left:
+        active = list(left)
+        alloc = reference_waterfill(rates, [(flows[i][1], flows[i][3]) for i in active])
+        horizon = min((left[i] / r for i, r in zip(active, alloc)), default=math.inf)
+        step_to = now + horizon
+        if pending and flows[pending[0]][0] <= step_to:
+            step_to = flows[pending[0]][0]
+        dt = step_to - now
+        for i, r in zip(active, alloc):
+            left[i] -= r * dt
+        now = step_to
+        for i in active:
+            if left[i] <= epsilon:
+                del left[i]
+                done[i] = now
+        while pending and flows[pending[0]][0] <= now:
+            i = pending.pop(0)
+            left[i] = flows[i][2]
+    return done
+
+
+def model_completions(
+    rates: dict[str, float],
+    flows: list[tuple[float, tuple[str, ...], float, float]],
+) -> list[float]:
+    """The same scenario through FluidModel on an engine."""
+    engine, fluid = make()
+    caps = {name: Capacity(name, rate) for name, rate in rates.items()}
+    done = [math.nan] * len(flows)
+
+    def start(i: int) -> None:
+        _start, path, size, rate_cap = flows[i]
+
+        def finish(_ev, i=i) -> None:
+            done[i] = engine.now
+
+        fluid.transfer([caps[n] for n in path], size, rate_cap, on_complete=finish)
+
+    for i, (at, *_rest) in enumerate(flows):
+        engine.timeout(at).callbacks.append(lambda _ev, i=i: start(i))
+    engine.run()
+    return done
+
+
+# -- the grouped solver against the oracle ----------------------------------
 
 
 def test_hybrid_single_flow_matches_default():
-    engine, fluid = make_hybrid()
+    engine, fluid = make()
     link = Capacity("link", 10.0)
     done = fluid.transfer([link], 1000.0)
     engine.run(done)
@@ -238,76 +324,102 @@ def test_hybrid_single_flow_matches_default():
 
 
 def test_hybrid_staggered_flows_match_default_mode():
-    """Joins, drains, and a rate-capped flow: completion times in
-    transition-driven mode equal the per-event hook mode's."""
-
-    def scenario(transition: bool) -> list[float]:
-        engine = Engine()
-        fluid = FluidModel(engine, transition_driven=transition)
-        link = Capacity("link", 10.0)
-        wide = Capacity("wide", 40.0)
-        finish_times: list[float] = []
-
-        def launcher():
-            flows = [
-                fluid.transfer([link, wide], 400.0),
-                fluid.transfer([link], 900.0, rate_cap=3.0),
-            ]
-            yield engine.timeout(25.0)
-            flows.append(fluid.transfer([wide], 2000.0))
-            for flow in flows:
-                flow.callbacks.append(
-                    lambda _e: finish_times.append(engine.now)
-                )
-            yield engine.all_of(flows)
-
-        engine.run(engine.process(launcher()))
-        return finish_times
-
-    default, hybrid = scenario(False), scenario(True)
-    assert hybrid == pytest.approx(default, rel=1e-9)
+    """Joins, drains, and a rate-capped flow: completion times equal the
+    per-flow reference's."""
+    rates = {"link": 10.0, "wide": 40.0}
+    flows = [
+        (0.0, ("link", "wide"), 400.0, math.inf),
+        (0.0, ("link",), 900.0, 3.0),
+        (25.0, ("wide",), 2000.0, math.inf),
+    ]
+    assert model_completions(rates, flows) == pytest.approx(
+        reference_completions(rates, flows), rel=1e-9
+    )
 
 
-def test_hybrid_grouped_solver_virtualizes_large_flow_sets():
-    """>= _GROUPED_RECOMPUTE_MIN same-path flows flip the model into
-    virtual-service accounting; completions still match the closed form
-    (n identical flows through one link finish together at n*size/rate)."""
-    engine, fluid = make_hybrid()
-    link = Capacity("link", 8.0)
-    flows = [fluid.transfer([link], 160.0) for _ in range(12)]
-    assert fluid._virtualized  # grouped path engaged
-    engine.run(engine.all_of(flows))
-    assert engine.now == pytest.approx(12 * 160.0 / 8.0)
-    assert fluid.active_transfers == 0
-    assert not fluid._virtualized
-
-
-def test_hybrid_capped_join_materializes_virtual_state():
-    """A rate-capped flow joining a virtualized group forces the solver
-    back to per-flow accounting without losing progress."""
-    engine, fluid = make_hybrid()
+def test_capped_group_freezes_before_the_bottleneck():
+    """Four flows capped at 1.0 share a 10-wide link with two uncapped
+    ones: the fair share 10/6 exceeds the cap, so the capped group
+    freezes at 1.0 and the uncapped pair splits the remaining 6."""
+    engine, fluid = make()
     link = Capacity("link", 10.0)
-    flows = [fluid.transfer([link], 500.0) for _ in range(10)]
-    assert fluid._virtualized
+    for _ in range(4):
+        fluid.transfer([link], 100.0, rate_cap=1.0)
+    for _ in range(2):
+        fluid.transfer([link], 300.0)
+    assert link.utilization == pytest.approx(1.0)
+    rates = {"link": 10.0}
+    flows = [(0.0, ("link",), 100.0, 1.0)] * 4 + [(0.0, ("link",), 300.0, math.inf)] * 2
+    expected = reference_completions(rates, flows)
+    assert expected[4] == pytest.approx(100.0)  # 300 bytes at 3 each
+    assert model_completions(rates, flows) == pytest.approx(expected, rel=1e-9)
 
-    def join_capped():
-        yield engine.timeout(100.0)  # each flow has moved 100 bytes
-        capped = fluid.transfer([link], 330.0, rate_cap=0.5)
-        assert not fluid._virtualized
-        yield capped
 
-    joiner = engine.process(join_capped())
-    engine.run(engine.all_of(flows))
-    # materialized progress intact: the ten had 400 left at t=100 and
-    # share 10 - 0.5 from then on -> 0.95 each
-    assert engine.now == pytest.approx(100.0 + 400.0 / 0.95)
-    engine.run(joiner)
-    # the cap binds the whole time: 330 bytes at 0.5 from t=100
-    assert engine.now == pytest.approx(100.0 + 330.0 / 0.5)
+def test_capped_group_that_is_also_bottlenecked():
+    """Four flows capped at 3.0 and one uncapped flow share a 10-wide
+    link: the fair share 2.0 is below the cap, so the capped group
+    freezes at the bottleneck share like everyone else."""
+    engine, fluid = make()
+    link = Capacity("link", 10.0)
+    for _ in range(4):
+        fluid.transfer([link], 200.0, rate_cap=3.0)
+    fluid.transfer([link], 400.0)
+    engine.run(until=50.0)
+    fluid.settle()
+    assert link.stats.counter("bytes").value == pytest.approx(500.0)
+    rates = {"link": 10.0}
+    flows = [(0.0, ("link",), 200.0, 3.0)] * 4 + [(0.0, ("link",), 400.0, math.inf)]
+    expected = reference_completions(rates, flows)
+    # all five run at 2.0; the capped four end at t=100 and the last one
+    # then has the link to itself: 200 bytes at 10
+    assert expected == pytest.approx([100.0] * 4 + [120.0])
+    assert model_completions(rates, flows) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("rate_cap", [0.7, 2.5, 3.3, math.inf])
+def test_single_group_fast_path_is_bit_identical_to_reference(n, rate_cap):
+    """One group on a simple path: min(cap, min cap.rate / n) equals one
+    full round of water-filling exactly, so the first completion time is
+    bit-for-bit the reference's."""
+    rates = {"chan": 9.7, "link": 6.1, "port": 13.0}
+    flows = [(0.0, ("chan", "link", "port"), 700.0 + 100.0 * i, rate_cap) for i in range(n)]
+    model = model_completions(rates, flows)
+    reference = reference_completions(rates, flows)
+    assert model[0] == reference[0]
+    assert model == pytest.approx(reference, rel=1e-12)
+
+
+_CAP_NAMES = ("a", "b", "c")
+_PATHS = (("a",), ("a", "b"), ("b", "c"), ("a", "b", "c"), ("c", "a", "c"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    flows=st.lists(
+        st.tuples(
+            st.sampled_from((0.0, 5.0, 12.5, 40.0)),
+            st.sampled_from(_PATHS),
+            st.integers(1, 2000).map(float),
+            st.sampled_from((math.inf, 0.75, 1.5, 4.0)),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    rates=st.tuples(*(st.sampled_from((3.0, 8.0, 12.5)) for _ in _CAP_NAMES)),
+)
+def test_grouped_solver_matches_per_flow_reference(flows, rates):
+    """Staggered flows with equal and mixed caps, shared paths, and one
+    path that visits a node twice: every completion time agrees with
+    the per-flow reference."""
+    capacity = dict(zip(_CAP_NAMES, rates))
+    assert model_completions(capacity, flows) == pytest.approx(
+        reference_completions(capacity, flows), rel=1e-9
+    )
 
 
 def test_hybrid_settle_exposes_midflight_progress():
-    engine, fluid = make_hybrid()
+    engine, fluid = make()
     link = Capacity("link", 10.0)
     done = fluid.transfer([link], 1000.0)
     engine.run(until=40.0)
@@ -319,7 +431,7 @@ def test_hybrid_settle_exposes_midflight_progress():
 
 
 def test_hybrid_aggregate_bytes_match_per_flow_accounting():
-    engine, fluid = make_hybrid()
+    engine, fluid = make()
     link = Capacity("link", 10.0)
     flows = [fluid.transfer([link], 123.0), fluid.transfer([link], 877.0)]
     engine.run(engine.all_of(flows))
@@ -327,11 +439,24 @@ def test_hybrid_aggregate_bytes_match_per_flow_accounting():
 
 
 def test_hybrid_tiny_transfer_completes():
-    engine, fluid = make_hybrid()
+    engine, fluid = make()
     link = Capacity("link", 10.0)
     done = fluid.transfer([link], 1e-6)  # below COMPLETION_EPSILON
     engine.run(done)
     assert done.triggered
+
+
+def test_solver_counters_track_groups_and_flows():
+    """Same-(path, cap) flows share a group; the counters see it."""
+    engine, fluid = make()
+    link = Capacity("link", 10.0)
+    flows = [fluid.transfer([link], 100.0, rate_cap=1.0) for _ in range(4)]
+    engine.run(engine.all_of(flows))
+    # four starts plus one retirement of all four at once
+    assert fluid.recomputes == 4
+    assert fluid.single_group_recomputes == 4
+    assert fluid.groups_solved == 4
+    assert fluid.flows_solved == 1 + 2 + 3 + 4
 
 
 @settings(max_examples=30, deadline=None)
@@ -340,11 +465,9 @@ def test_hybrid_tiny_transfer_completes():
     rate=st.floats(0.5, 100.0),
 )
 def test_hybrid_aggregate_throughput_equals_capacity(sizes, rate):
-    """The hybrid solver conserves work: total bytes / makespan equals
-    the link rate, whether or not the flow count crosses the grouped
-    (virtual-service) threshold."""
-    engine = Engine()
-    fluid = FluidModel(engine, transition_driven=True)
+    """The solver conserves work: total bytes / makespan equals the link
+    rate, however many flows share the one group."""
+    engine, fluid = make()
     link = Capacity("link", rate)
     flows = [fluid.transfer([link], size) for size in sizes]
     engine.run(engine.all_of(flows))
