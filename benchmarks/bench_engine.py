@@ -1,7 +1,6 @@
 """E2 — DES core throughput: the engine's events/sec trajectory.
 
-Four workloads, each timed per scheduler (and, for the cluster runs,
-per transport style):
+Four workloads, each timed per scheduler:
 
 * ``event_churn`` — callback chains rescheduling bare timeouts: the
   dispatch loop and timeout pool with nothing else in the way.
@@ -14,8 +13,7 @@ per transport style):
   tenants streaming 256 KiB reads through the shared fabric, keeping
   ~1000 flows in flight.  The seed engine pays O(#flows) per event
   here; the fluid solver pays nothing between rate changes and solves
-  ``(path, rate_cap)`` groups at each one.  It runs with the
-  callback-chained transport (``+callback``) and is the configuration
+  ``(path, rate_cap)`` groups at each one.  It is the configuration
   the headline speedup-vs-seed is measured on.
 
 Standalone (the CI engine-bench job)::
@@ -165,7 +163,6 @@ def cluster_slice(
     tenants: int = 32,
     ops_per_tenant: int = 150,
     scheduler: str = "heap",
-    callback: bool = False,
 ) -> tuple[int, float, int]:
     """The real multi-tenant driver on the paper's logical rack,
     data-heavy mix (the regime ROADMAP's 10k-tenant item lives in).
@@ -182,8 +179,6 @@ def cluster_slice(
     kwargs: dict[str, _t.Any] = {}
     if scheduler != "heap":
         kwargs["scheduler"] = scheduler
-    if callback:
-        kwargs["hybrid_fluid"] = True
     deployment = build_logical(
         "link0", server_count=4, server_dram_bytes=mib(32), **kwargs
     )
@@ -216,7 +211,6 @@ def cluster_dense(
     tenants: int = 1024,
     ops_per_tenant: int = 12,
     scheduler: str = "heap",
-    callback: bool = False,
 ) -> tuple[int, float, int]:
     """The bandwidth-saturated steady state: every tenant keeps a
     256 KiB read in flight, so ~#tenants flows share the fabric at all
@@ -236,8 +230,6 @@ def cluster_dense(
     kwargs: dict[str, _t.Any] = {}
     if scheduler != "heap":
         kwargs["scheduler"] = scheduler
-    if callback:
-        kwargs["hybrid_fluid"] = True
     deployment = build_logical(
         "link0", server_count=4, server_dram_bytes=mib(512), **kwargs
     )
@@ -286,10 +278,9 @@ def test_e2_timeout_storm(benchmark, scheduler):
     assert events >= 200 * 500
 
 @pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("callback", [False, True])
-def test_e2_cluster_slice(benchmark, callback):
+def test_e2_cluster_slice(benchmark):
     events, _, ops = benchmark.pedantic(
-        cluster_slice, args=(8, 30, "heap", callback), rounds=1, iterations=1
+        cluster_slice, args=(8, 30, "heap"), rounds=1, iterations=1
     )
     assert ops == 8 * 30
     assert events > 0
@@ -313,17 +304,17 @@ def _configs(seed_compat: bool) -> list[tuple[str, _t.Callable[[], dict[str, flo
                     "events_per_sec": round(events / secs, 1)}
         return run
 
-    def slice_(sched: str, callback: bool):
+    def slice_(sched: str):
         def run() -> dict[str, float]:
-            events, secs, ops = cluster_slice(32, 150, sched, callback)
+            events, secs, ops = cluster_slice(32, 150, sched)
             return {"events": events, "seconds": round(secs, 4), "ops": ops,
                     "events_per_sec": round(events / secs, 1),
                     "ops_per_sec": round(ops / secs, 1)}
         return run
 
-    def dense(sched: str, callback: bool):
+    def dense(sched: str):
         def run() -> dict[str, float]:
-            events, secs, ops = cluster_dense(1024, 12, sched, callback)
+            events, secs, ops = cluster_dense(1024, 12, sched)
             return {"events": events, "seconds": round(secs, 4), "ops": ops,
                     "events_per_sec": round(events / secs, 1),
                     "ops_per_sec": round(ops / secs, 1)}
@@ -332,29 +323,18 @@ def _configs(seed_compat: bool) -> list[tuple[str, _t.Callable[[], dict[str, flo
     configs: list[tuple[str, _t.Callable[[], dict[str, float]]]] = [
         ("event_churn/heap", churn("heap")),
         ("timeout_storm/heap", storm("heap")),
-        ("cluster_slice/heap", slice_("heap", False)),
+        ("cluster_slice/heap", slice_("heap")),
+        # the headline: on the seed's per-event solver this is slow by
+        # construction — that is the measurement
+        ("cluster_dense/heap", dense("heap")),
     ]
-    if seed_compat:
-        # The seed column for the headline: the dense steady state on the
-        # seed's per-event solver and generator transport.  Slow by construction —
-        # that is the measurement — so the CI run skips it and compares
-        # against this recorded rate instead.
-        configs += [("cluster_dense/heap", dense("heap", False))]
-    else:
+    if not seed_compat:
         configs += [
             ("event_churn/calendar", churn("calendar")),
             ("timeout_storm/calendar", storm("calendar")),
-            ("cluster_slice/calendar", slice_("calendar", False)),
-            ("cluster_slice/heap+callback", slice_("heap", True)),
-            ("cluster_dense/heap+callback", dense("heap", True)),
+            ("cluster_slice/calendar", slice_("calendar")),
         ]
     return configs
-
-
-#: the headline compares the callback-transport dense run against the
-#: seed engine running the SAME workload in its only mode, so the seed
-#: rate lives under a different configuration name
-_SEED_KEY = {"cluster_dense/heap+callback": "cluster_dense/heap"}
 
 
 def smoke(
@@ -368,8 +348,7 @@ def smoke(
     event_churn(20_000)
     timeout_storm(20, 50)
     cluster_slice(4, 20)
-    if not seed_compat:
-        cluster_dense(64, 4, "heap", True)
+    cluster_dense(64, 4)
 
     results: dict[str, dict[str, float]] = {}
     for name, run in _configs(seed_compat):
@@ -392,12 +371,10 @@ def smoke(
     baseline = _load_baseline()
     seed_rates: dict[str, float] = (baseline or {}).get("seed_events_per_sec", {})
     for name, result in results.items():
-        seed_rate = seed_rates.get(_SEED_KEY.get(name, name))
+        seed_rate = seed_rates.get(name)
         if seed_rate:
             result["speedup_vs_seed"] = round(result["events_per_sec"] / seed_rate, 2)
-    headline = results.get("cluster_dense/heap+callback") or results.get(
-        "cluster_slice/heap"
-    )
+    headline = results.get("cluster_dense/heap")
     if headline and "speedup_vs_seed" in headline:
         print(f"cluster-driver dense slice speedup vs seed engine: "
               f"{headline['speedup_vs_seed']:.2f}x")

@@ -81,10 +81,7 @@ def _calibrate() -> float:
 
 
 def _manager(server_count: int = 4) -> PoolManager:
-    # the callback-chained transport, as experiments/scale.py runs S1
-    deployment = build_logical(
-        "link0", server_count=server_count, server_dram_bytes=mib(8), hybrid_fluid=True
-    )
+    deployment = build_logical("link0", server_count=server_count, server_dram_bytes=mib(8))
     runtime = LmpRuntime(
         deployment,
         geometry=PageGeometry(page_bytes=kib(16), extent_bytes=kib(64)),

@@ -21,7 +21,10 @@ stacks: each :class:`~repro.sim.process.Process` owns a stack of open
 spans (stored in its ``_obs_scope`` slot).  The recorder's *active*
 stack switches on every resume/suspend, so a span opened inside a
 process stays its children's parent across yields, and a process
-spawned while another runs becomes that process's child.
+spawned while another runs becomes that process's child.  A transport
+operation is a callback chain, not a process: it opens its ``fabric``
+span at issue time, parented to whatever span is running, and closes
+it from its completion callback.
 """
 
 from __future__ import annotations
@@ -185,15 +188,23 @@ class SpanRecorder:
             attrs = self._active[-1].attrs
             attrs[key] = attrs.get(key, 0.0) + delta
 
-    def route_time(self, remote: bool, latency_ns: float, transfer_ns: float) -> None:
-        """Charge one fabric hop to the latency-breakdown categories:
-        a remote hop is link latency plus fabric transfer time; a local
-        hop is all DRAM service."""
+    def route_time(
+        self, remote: bool, latency_ns: float, transfer_ns: float, span: Span | None = None
+    ) -> None:
+        """Charge one fabric hop to the latency-breakdown categories of
+        *span* (default: the currently-running span): a remote hop is
+        link latency plus fabric transfer time; a local hop is all DRAM
+        service."""
+        if span is None:
+            if not self._active:
+                return
+            span = self._active[-1]
+        attrs = span.attrs
         if remote:
-            self.add("cat_link_ns", latency_ns)
-            self.add("cat_fabric_ns", transfer_ns)
+            attrs["cat_link_ns"] = attrs.get("cat_link_ns", 0.0) + latency_ns
+            attrs["cat_fabric_ns"] = attrs.get("cat_fabric_ns", 0.0) + transfer_ns
         else:
-            self.add("cat_dram_ns", latency_ns + transfer_ns)
+            attrs["cat_dram_ns"] = attrs.get("cat_dram_ns", 0.0) + latency_ns + transfer_ns
 
     # -- process seam (mirrors repro.check's Process._monitor protocol) ------
 
@@ -367,6 +378,32 @@ class Observability:
 
     def route_time(self, remote: bool, latency_ns: float, transfer_ns: float) -> None:
         self.recorder.route_time(remote, latency_ns, transfer_ns)
+
+    # -- transport seam ------------------------------------------------------
+
+    def fabric_begin(
+        self,
+        engine: _t.Any,
+        name: str,
+        op: str,
+        requester: str,
+        owner: str,
+        nbytes: int,
+        remote: bool,
+    ) -> Span:
+        """Start the span of one transport operation.  It is parented to
+        the caller's running span but not pushed on its scope: the
+        operation is a callback chain, so nothing runs inside it."""
+        span = self.recorder.start(name, "fabric", engine)
+        span.attrs.update(op=op, requester=requester, owner=owner, bytes=nbytes, remote=remote)
+        return span
+
+    def fabric_end(
+        self, span: Span, now: float, remote: bool, latency_ns: float, transfer_ns: float
+    ) -> None:
+        """Charge the hop's latency categories to *span* and close it."""
+        self.recorder.route_time(remote, latency_ns, transfer_ns, span)
+        self.recorder.finish(span, now)
 
     # -- session seam --------------------------------------------------------
 

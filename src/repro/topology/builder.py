@@ -68,16 +68,11 @@ def build(
     spec: DeploymentSpec,
     seed: int = 0,
     scheduler: _t.Any = "heap",
-    hybrid_fluid: bool = False,
 ) -> Deployment:
     """Wire the spec into hardware on a fresh engine.
 
     *scheduler* selects the engine's event-queue backend ("heap" or
-    "calendar"; see :mod:`repro.sim.scheduler`).  *hybrid_fluid* selects
-    the callback-chained transport operations instead of the generator
-    pipeline (``docs/performance.md``): identical timing, fewer discrete
-    events, different traces — hence off by default.  The fluid solver
-    is the same either way.
+    "calendar"; see :mod:`repro.sim.scheduler`).
     """
     engine = Engine(seed=seed, scheduler=scheduler)
     fluid = FluidModel(engine)
@@ -103,7 +98,7 @@ def build(
         pool = PoolDevice(engine, fluid, spec.pool_dram_bytes, spec.pool_link_spec)
         switch.attach(pool.name, pool.link, pool.dram)
 
-    transport = MemoryTransport(engine, fluid, switch, hybrid_transfers=hybrid_fluid)
+    transport = MemoryTransport(engine, fluid, switch)
     return Deployment(
         spec=spec,
         engine=engine,
@@ -119,16 +114,14 @@ def build(
 def build_logical(link: str = "link0", seed: int = 0, **overrides: _t.Any) -> Deployment:
     """The paper's Logical configuration (or a variation of it).
 
-    ``scheduler=`` and ``hybrid_fluid=`` overrides are builder arguments
-    (see :func:`build`), not spec fields; everything else replaces fields
-    on the spec.
+    A ``scheduler=`` override is a builder argument (see :func:`build`),
+    not a spec field; everything else replaces fields on the spec.
     """
     scheduler = overrides.pop("scheduler", "heap")
-    hybrid_fluid = overrides.pop("hybrid_fluid", False)
     spec = paper_logical(link)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    return build(spec, seed=seed, scheduler=scheduler, hybrid_fluid=hybrid_fluid)
+    return build(spec, seed=seed, scheduler=scheduler)
 
 
 def build_physical(
@@ -139,8 +132,7 @@ def build_physical(
 ) -> Deployment:
     """The paper's Physical cache / Physical no-cache configurations."""
     scheduler = overrides.pop("scheduler", "heap")
-    hybrid_fluid = overrides.pop("hybrid_fluid", False)
     spec = paper_physical_cache(link) if cache else paper_physical_nocache(link)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    return build(spec, seed=seed, scheduler=scheduler, hybrid_fluid=hybrid_fluid)
+    return build(spec, seed=seed, scheduler=scheduler)

@@ -21,6 +21,7 @@ from repro.topology.builder import build_logical
 from repro.topology.multirack import (
     MultiRackSpec,
     build_multirack,
+    build_multirack_deployment,
     racks_for_capacity,
 )
 from repro.units import gib, kib, mib
@@ -135,6 +136,13 @@ def test_multirack_spec_validation():
         MultiRackSpec(trunk_width=0.5)
     with pytest.raises(ConfigError):
         MultiRackSpec(link="nope")
+
+
+def test_multirack_deployment_has_no_process_transport():
+    spec = MultiRackSpec(racks=2, servers_per_rack=2)
+    assert build_multirack_deployment(spec).transport is not None
+    with pytest.raises(ValueError):
+        build_multirack_deployment(spec, hybrid_fluid=False)
 
 
 # --- CLI ---------------------------------------------------------------------

@@ -250,42 +250,57 @@ def test_incast_requires_matching_targets():
         measure_incast(engine, fluid, switch, servers, ["server0"], gib(1))
 
 
-# --- hybrid (callback-chained) transport --------------------------------------
+# --- transport pipeline ------------------------------------------------------
 #
-# ``build_logical(..., hybrid_fluid=True)`` swaps the generator-based
-# operation processes for callback chains over the transition-driven
-# fluid solver.  Timing and data movement must be identical to the
-# default mode; only the event count differs.
+# Every transport op is one callback chain: latency timeout -> fluid
+# transfer -> completion event.  On an idle link its timing is analytic.
 
 
-def _timed_ops(hybrid: bool) -> tuple[float, float, float, bytes, bytes]:
+def test_transport_ops_complete_at_latency_plus_transfer():
     from repro.topology.builder import build_logical
 
-    dep = build_logical("link0", hybrid_fluid=hybrid)
-    engine, transport = dep.engine, dep.transport
-    payload = b"hybrid?!" * 1024
-    engine.run(transport.write("server0", "server2", 4096, payload))
-    t_write = engine.now
-    data = engine.run(transport.read("server1", "server2", 4096, len(payload)))
-    t_read = engine.now
-    engine.run(transport.copy("server2", 4096, "server3", mib(1), len(payload)))
-    copied = dep.switch.device_of("server3").read_bytes(mib(1), len(payload))
-    return t_write, t_read, engine.now, data, copied
+    dep = build_logical("link0")
+    engine, transport, switch = dep.engine, dep.transport, dep.switch
+    payload = b"fabric?!" * 1024  # 8 KiB
+    size = len(payload)
+
+    def elapsed(route, op) -> float:
+        expected = route.loaded_latency() + size / 34.5  # bytes/ns on link0
+        start = engine.now
+        value = engine.run(op)
+        assert engine.now - start == pytest.approx(expected, rel=1e-9)
+        return value
+
+    assert elapsed(
+        switch.write_route("server0", "server2"),
+        transport.write("server0", "server2", 4096, payload),
+    ) == size
+    data = elapsed(
+        switch.read_route("server1", "server2"),
+        transport.read("server1", "server2", 4096, size),
+    )
+    duration = elapsed(
+        switch.copy_route("server2", "server3"),
+        transport.copy("server2", 4096, "server3", mib(1), size),
+    )
+    assert duration > 0
+    assert data == payload
+    assert dep.switch.device_of("server3").read_bytes(mib(1), size) == payload
 
 
-def test_hybrid_transport_matches_process_mode():
-    default, hybrid = _timed_ops(False), _timed_ops(True)
-    assert hybrid[:3] == pytest.approx(default[:3], rel=1e-9)
-    assert hybrid[3:] == default[3:]  # real bytes moved identically
-
-
-def test_hybrid_transport_uses_fewer_events():
+@pytest.mark.parametrize("op", ["write", "read", "copy", "probe"])
+def test_transport_op_dispatches_four_events(op):
+    """Latency timeout, solver wake-up, transfer completion, op
+    completion — a process per op would add its init event."""
     from repro.topology.builder import build_logical
 
-    counts = []
-    for hybrid in (False, True):
-        dep = build_logical("link0", hybrid_fluid=hybrid)
-        engine = dep.engine
-        engine.run(dep.transport.write("server0", "server1", 0, b"z" * 4096))
-        counts.append(engine.events_processed)
-    assert counts[1] < counts[0]
+    dep = build_logical("link0")
+    transport = dep.transport
+    issue = {
+        "write": lambda: transport.write("server0", "server1", 0, b"z" * 4096),
+        "read": lambda: transport.read("server0", "server1", 0, 4096),
+        "copy": lambda: transport.copy("server0", 0, "server1", 0, 4096),
+        "probe": lambda: transport.probe_latency("server0", "server1"),
+    }[op]
+    dep.engine.run(issue())
+    assert dep.engine.events_processed == 4

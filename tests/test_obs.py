@@ -186,6 +186,56 @@ def test_request_span_tree_spans_four_layers():
     assert "cat_dram_ns" in charged
 
 
+def test_transport_op_records_fabric_span_under_caller():
+    """A transport op is a callback chain, not a process, yet its hop
+    shows up in the causal tree: a ``fabric`` span under the pool
+    process that issued it, owning the route attributes and charges."""
+    from repro.core.api import LmpSession
+
+    deployment = build_logical("link0", server_count=2, server_dram_bytes=mib(8))
+    runtime = LmpRuntime(
+        deployment,
+        geometry=PageGeometry(page_bytes=kib(16), extent_bytes=kib(64)),
+        coherent_bytes=kib(64),
+        snoop_filter_lines=256,
+    )
+    reader = LmpSession(runtime, 0)
+    remote = LmpSession(runtime, 1).alloc(kib(16))
+    local = reader.alloc(kib(16))
+    obs = Observability()
+    with obs.activated():
+        for buffer in (remote, local):
+            deployment.run(reader.read(buffer, 0, kib(4)))
+    spans = obs.recorder.spans
+    by_id = {s.span_id: s for s in spans}
+
+    hops = [s for s in spans if s.component == "fabric"]
+    assert [h.name for h in hops] == ["read:server0<-server1", "read:server0<-server0"]
+    for hop in hops:
+        assert hop.end_ns is not None and hop.end_ns > hop.start_ns
+        assert hop.attrs["op"] == "read"
+        assert hop.attrs["requester"] == "server0"
+        assert hop.attrs["bytes"] == kib(4)
+        caller = by_id[hop.parent_id]
+        assert (caller.name, caller.component) == ("lmp.read", "process")
+        assert "op" not in caller.attrs  # the hop's attributes stay on the hop
+        assert not any(k.startswith("cat_") for k in caller.attrs)
+
+    remote_hop, local_hop = hops
+    assert remote_hop.attrs["owner"] == "server1" and remote_hop.attrs["remote"]
+    assert remote_hop.attrs["cat_link_ns"] > 0 and remote_hop.attrs["cat_fabric_ns"] > 0
+    assert "cat_dram_ns" not in remote_hop.attrs
+    assert local_hop.attrs["owner"] == "server0" and not local_hop.attrs["remote"]
+    assert local_hop.attrs["cat_dram_ns"] > 0
+    assert "cat_link_ns" not in local_hop.attrs
+
+    (row,) = latency_breakdown(spans)
+    assert (row.op, row.requests) == ("read", 2)
+    assert row.category_ns["link"] == pytest.approx(remote_hop.attrs["cat_link_ns"])
+    assert row.category_ns["fabric"] == pytest.approx(remote_hop.attrs["cat_fabric_ns"])
+    assert row.category_ns["dram"] == pytest.approx(local_hop.attrs["cat_dram_ns"])
+
+
 def test_same_seed_runs_export_identical_chrome_trace():
     obs_a, _ = _drive()
     obs_b, _ = _drive()
