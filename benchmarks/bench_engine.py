@@ -1,6 +1,6 @@
 """E2 — DES core throughput: the engine's events/sec trajectory.
 
-Four workloads, each timed per scheduler:
+Four workloads on the engine's one event queue (a binary heap):
 
 * ``event_churn`` — callback chains rescheduling bare timeouts: the
   dispatch loop and timeout pool with nothing else in the way.
@@ -29,8 +29,7 @@ before the fast DES core landed), measured once in this environment
 with this same script — see ``docs/performance.md`` for how to read it.
 
 The script runs unmodified against the seed engine (``--seed-compat``
-skips configurations the seed does not support), which is how the seed
-column was produced.
+skips the regression gate), which is how the seed column was produced.
 """
 
 from __future__ import annotations
@@ -93,22 +92,12 @@ def _calibrate() -> float:
     return best
 
 
-def _make_engine(seed: int, scheduler: str) -> Engine:
-    try:
-        return Engine(seed=seed, scheduler=scheduler)
-    except TypeError:
-        # seed engine (pre-scheduler-protocol): heap only
-        if scheduler != "heap":
-            raise
-        return Engine(seed=seed)
-
-
 # -- workload 1: event churn ------------------------------------------------
 
 
-def event_churn(total_events: int = 200_000, scheduler: str = "heap") -> tuple[int, float]:
+def event_churn(total_events: int = 200_000) -> tuple[int, float]:
     """Callback chains rescheduling timeouts; no processes, no fluid."""
-    eng = _make_engine(1, scheduler)
+    eng = Engine(seed=1)
     chains = 64
     per_chain = total_events // chains
 
@@ -136,11 +125,9 @@ def event_churn(total_events: int = 200_000, scheduler: str = "heap") -> tuple[i
 # -- workload 2: timeout storm ----------------------------------------------
 
 
-def timeout_storm(
-    procs: int = 200, ops: int = 500, scheduler: str = "heap"
-) -> tuple[int, float]:
+def timeout_storm(procs: int = 200, ops: int = 500) -> tuple[int, float]:
     """Generator processes yielding timeouts: resume/suspend on every event."""
-    eng = _make_engine(2, scheduler)
+    eng = Engine(seed=2)
 
     def body(delays: list[float]):
         for i in range(ops):
@@ -162,7 +149,6 @@ def timeout_storm(
 def cluster_slice(
     tenants: int = 32,
     ops_per_tenant: int = 150,
-    scheduler: str = "heap",
 ) -> tuple[int, float, int]:
     """The real multi-tenant driver on the paper's logical rack,
     data-heavy mix (the regime ROADMAP's 10k-tenant item lives in).
@@ -176,12 +162,7 @@ def cluster_slice(
     from repro.topology.builder import build_logical
     from repro.units import kib, mib
 
-    kwargs: dict[str, _t.Any] = {}
-    if scheduler != "heap":
-        kwargs["scheduler"] = scheduler
-    deployment = build_logical(
-        "link0", server_count=4, server_dram_bytes=mib(32), **kwargs
-    )
+    deployment = build_logical("link0", server_count=4, server_dram_bytes=mib(32))
     runtime = LmpRuntime(
         deployment,
         geometry=PageGeometry(page_bytes=kib(16), extent_bytes=kib(64)),
@@ -210,7 +191,6 @@ def cluster_slice(
 def cluster_dense(
     tenants: int = 1024,
     ops_per_tenant: int = 12,
-    scheduler: str = "heap",
 ) -> tuple[int, float, int]:
     """The bandwidth-saturated steady state: every tenant keeps a
     256 KiB read in flight, so ~#tenants flows share the fabric at all
@@ -227,12 +207,7 @@ def cluster_dense(
     from repro.topology.builder import build_logical
     from repro.units import kib, mib
 
-    kwargs: dict[str, _t.Any] = {}
-    if scheduler != "heap":
-        kwargs["scheduler"] = scheduler
-    deployment = build_logical(
-        "link0", server_count=4, server_dram_bytes=mib(512), **kwargs
-    )
+    deployment = build_logical("link0", server_count=4, server_dram_bytes=mib(512))
     runtime = LmpRuntime(
         deployment,
         geometry=PageGeometry(page_bytes=kib(256), extent_bytes=mib(1)),
@@ -262,25 +237,19 @@ def cluster_dense(
 
 
 @pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_e2_event_churn(benchmark, scheduler):
-    events, _ = benchmark.pedantic(
-        event_churn, args=(200_000, scheduler), rounds=1, iterations=1
-    )
+def test_e2_event_churn(benchmark):
+    events, _ = benchmark.pedantic(event_churn, args=(200_000,), rounds=1, iterations=1)
     assert events >= 200_000
 
 @pytest.mark.benchmark(group="engine")
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_e2_timeout_storm(benchmark, scheduler):
-    events, _ = benchmark.pedantic(
-        timeout_storm, args=(200, 500, scheduler), rounds=1, iterations=1
-    )
+def test_e2_timeout_storm(benchmark):
+    events, _ = benchmark.pedantic(timeout_storm, args=(200, 500), rounds=1, iterations=1)
     assert events >= 200 * 500
 
 @pytest.mark.benchmark(group="engine")
 def test_e2_cluster_slice(benchmark):
     events, _, ops = benchmark.pedantic(
-        cluster_slice, args=(8, 30, "heap"), rounds=1, iterations=1
+        cluster_slice, args=(8, 30), rounds=1, iterations=1
     )
     assert ops == 8 * 30
     assert events > 0
@@ -289,52 +258,39 @@ def test_e2_cluster_slice(benchmark):
 # -- standalone smoke mode (CI: BENCH_engine.json + regression gate) --------
 
 
-def _configs(seed_compat: bool) -> list[tuple[str, _t.Callable[[], dict[str, float]]]]:
-    def churn(sched: str):
-        def run() -> dict[str, float]:
-            events, secs = event_churn(200_000, sched)
-            return {"events": events, "seconds": round(secs, 4),
-                    "events_per_sec": round(events / secs, 1)}
-        return run
+def _configs() -> list[tuple[str, _t.Callable[[], dict[str, float]]]]:
+    def churn() -> dict[str, float]:
+        events, secs = event_churn(200_000)
+        return {"events": events, "seconds": round(secs, 4),
+                "events_per_sec": round(events / secs, 1)}
 
-    def storm(sched: str):
-        def run() -> dict[str, float]:
-            events, secs = timeout_storm(200, 500, sched)
-            return {"events": events, "seconds": round(secs, 4),
-                    "events_per_sec": round(events / secs, 1)}
-        return run
+    def storm() -> dict[str, float]:
+        events, secs = timeout_storm(200, 500)
+        return {"events": events, "seconds": round(secs, 4),
+                "events_per_sec": round(events / secs, 1)}
 
-    def slice_(sched: str):
-        def run() -> dict[str, float]:
-            events, secs, ops = cluster_slice(32, 150, sched)
-            return {"events": events, "seconds": round(secs, 4), "ops": ops,
-                    "events_per_sec": round(events / secs, 1),
-                    "ops_per_sec": round(ops / secs, 1)}
-        return run
+    def slice_() -> dict[str, float]:
+        events, secs, ops = cluster_slice(32, 150)
+        return {"events": events, "seconds": round(secs, 4), "ops": ops,
+                "events_per_sec": round(events / secs, 1),
+                "ops_per_sec": round(ops / secs, 1)}
 
-    def dense(sched: str):
-        def run() -> dict[str, float]:
-            events, secs, ops = cluster_dense(1024, 12, sched)
-            return {"events": events, "seconds": round(secs, 4), "ops": ops,
-                    "events_per_sec": round(events / secs, 1),
-                    "ops_per_sec": round(ops / secs, 1)}
-        return run
+    def dense() -> dict[str, float]:
+        events, secs, ops = cluster_dense(1024, 12)
+        return {"events": events, "seconds": round(secs, 4), "ops": ops,
+                "events_per_sec": round(events / secs, 1),
+                "ops_per_sec": round(ops / secs, 1)}
 
-    configs: list[tuple[str, _t.Callable[[], dict[str, float]]]] = [
-        ("event_churn/heap", churn("heap")),
-        ("timeout_storm/heap", storm("heap")),
-        ("cluster_slice/heap", slice_("heap")),
+    # the "/heap" suffix is kept so the names match the committed
+    # baseline and seed columns
+    return [
+        ("event_churn/heap", churn),
+        ("timeout_storm/heap", storm),
+        ("cluster_slice/heap", slice_),
         # the headline: on the seed's per-event solver this is slow by
         # construction — that is the measurement
-        ("cluster_dense/heap", dense("heap")),
+        ("cluster_dense/heap", dense),
     ]
-    if not seed_compat:
-        configs += [
-            ("event_churn/calendar", churn("calendar")),
-            ("timeout_storm/calendar", storm("calendar")),
-            ("cluster_slice/calendar", slice_("calendar")),
-        ]
-    return configs
 
 
 def smoke(
@@ -351,7 +307,7 @@ def smoke(
     cluster_dense(64, 4)
 
     results: dict[str, dict[str, float]] = {}
-    for name, run in _configs(seed_compat):
+    for name, run in _configs():
         best: dict[str, float] | None = None
         for _ in range(max(1, rounds)):
             # drop the previous run's garbage (engines are webs of
@@ -442,7 +398,7 @@ if __name__ == "__main__":
     parser.add_argument(
         "--seed-compat",
         action="store_true",
-        help="only run configurations the seed engine supports (baseline capture)",
+        help="skip the regression gate (capturing the seed column on the seed engine)",
     )
     parser.add_argument(
         "--rounds",

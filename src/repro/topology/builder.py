@@ -64,17 +64,9 @@ class Deployment:
         return self.engine.run(until)
 
 
-def build(
-    spec: DeploymentSpec,
-    seed: int = 0,
-    scheduler: _t.Any = "heap",
-) -> Deployment:
-    """Wire the spec into hardware on a fresh engine.
-
-    *scheduler* selects the engine's event-queue backend ("heap" or
-    "calendar"; see :mod:`repro.sim.scheduler`).
-    """
-    engine = Engine(seed=seed, scheduler=scheduler)
+def build(spec: DeploymentSpec, seed: int = 0) -> Deployment:
+    """Wire the spec into hardware on a fresh engine."""
+    engine = Engine(seed=seed)
     fluid = FluidModel(engine)
     tracer = Tracer()
     switch = FabricSwitch(engine, fluid, port_count=spec.switch_ports)
@@ -114,14 +106,12 @@ def build(
 def build_logical(link: str = "link0", seed: int = 0, **overrides: _t.Any) -> Deployment:
     """The paper's Logical configuration (or a variation of it).
 
-    A ``scheduler=`` override is a builder argument (see :func:`build`),
-    not a spec field; everything else replaces fields on the spec.
+    *overrides* replace fields on the spec.
     """
-    scheduler = overrides.pop("scheduler", "heap")
     spec = paper_logical(link)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    return build(spec, seed=seed, scheduler=scheduler)
+    return build(spec, seed=seed)
 
 
 def build_physical(
@@ -131,8 +121,7 @@ def build_physical(
     **overrides: _t.Any,
 ) -> Deployment:
     """The paper's Physical cache / Physical no-cache configurations."""
-    scheduler = overrides.pop("scheduler", "heap")
     spec = paper_physical_cache(link) if cache else paper_physical_nocache(link)
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    return build(spec, seed=seed, scheduler=scheduler)
+    return build(spec, seed=seed)

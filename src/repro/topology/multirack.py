@@ -16,7 +16,6 @@ experiment reports.
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
 from repro.errors import ConfigError
 from repro.fabric.routing import FabricGraph
@@ -209,7 +208,6 @@ class RackedSwitch(FabricSwitch):
 def build_multirack_deployment(
     spec: MultiRackSpec,
     seed: int = 0,
-    scheduler: _t.Any = "heap",
     hybrid_fluid: bool = True,
 ) -> Deployment:
     """Wire the pod into *functional* hardware: a logical deployment
@@ -235,7 +233,7 @@ def build_multirack_deployment(
         link=spec.link,
         switch_ports=spec.total_servers + 1,
     )
-    engine = Engine(seed=seed, scheduler=scheduler)
+    engine = Engine(seed=seed)
     fluid = FluidModel(engine)
     switch = RackedSwitch(engine, fluid, spec)
     servers: list[Server] = []

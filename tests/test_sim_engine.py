@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.engine import Engine
@@ -304,3 +305,130 @@ def test_run_until_deadline_tie_semantics(engine):
     engine.run()
     assert fired[-1] == "late"
     assert engine.now == pytest.approx(100.5)
+
+
+# -- the fast run() loops against the step() reference ------------------------
+
+_PROGRAM = st.lists(
+    st.tuples(
+        st.floats(0.0, 500.0, allow_nan=False),
+        st.sampled_from(["plain", "chain", "succeed", "fail"]),
+        st.floats(0.0, 50.0, allow_nan=False),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _run_program(program, drain) -> tuple[list, float, int]:
+    """Drive one engine through the program, recording every dispatch
+    with its value, and empty its queue with *drain*.
+
+    Each instruction arms a timeout; its callback may chain another
+    timeout, succeed a bare event, or fail one (defused, so the run
+    survives) — covering every way user code perturbs the queue
+    mid-dispatch.
+    """
+    engine = Engine(seed=3)
+    trace: list[tuple[float, str, str]] = []
+
+    def record(tag: str):
+        return lambda e: trace.append((engine.now, tag, repr(e.value)))
+
+    for i, (delay, action, extra) in enumerate(program):
+        timeout = engine.timeout(delay, value=i)
+        timeout.callbacks.append(record(f"t{i}"))
+        if action == "chain":
+            def chain(_e, i=i, extra=extra):
+                inner = engine.timeout(extra)
+                inner.callbacks.append(record(f"t{i}.chain"))
+            timeout.callbacks.append(chain)
+        elif action == "succeed":
+            target = engine.event(f"ev{i}")
+            target.callbacks.append(record(f"ev{i}.ok"))
+            timeout.callbacks.append(lambda _e, t=target, i=i: t.succeed(i))
+        elif action == "fail":
+            target = engine.event(f"ev{i}")
+            target.callbacks.append(record(f"ev{i}.err"))
+            target.defuse()
+            timeout.callbacks.append(
+                lambda _e, t=target: t.fail(RuntimeError("injected"))
+            )
+    drain(engine)
+    return trace, engine.now, engine.events_processed
+
+
+def _drain_by_step(engine: Engine) -> None:
+    while engine.peek() != float("inf"):
+        engine.step()
+
+
+def _drain_bare(engine: Engine) -> None:
+    engine.run()
+
+
+def _drain_instrumented(engine: Engine) -> None:
+    engine.add_event_sink(lambda *_args: None)
+    engine.run()
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=_PROGRAM)
+def test_run_loops_dispatch_like_step(program):
+    """The bare and instrumented run() loops (timeout pooling included)
+    give the step() reference's trace, final clock and event count."""
+    reference = _run_program(program, _drain_by_step)
+    assert _run_program(program, _drain_bare) == reference
+    assert _run_program(program, _drain_instrumented) == reference
+
+
+def _spy_on_loops(engine: Engine, monkeypatch) -> list[str]:
+    """Record, in order, which drain loop each dispatch pass takes."""
+    taken: list[str] = []
+    for name in ("_drain_bare_heap", "_drain_instrumented"):
+        loop = getattr(engine, name)
+
+        def spy(stop, deadline, loop=loop, name=name):
+            taken.append(name)
+            return loop(stop, deadline)
+
+        monkeypatch.setattr(engine, name, spy)
+    return taken
+
+
+def test_sink_added_from_a_callback_sees_the_next_event(engine, monkeypatch):
+    taken = _spy_on_loops(engine, monkeypatch)
+    seen: list[float] = []
+
+    def sink(_engine, when, _seq, _event):
+        seen.append(when)
+
+    engine.timeout(1.0).callbacks.append(lambda _e: engine.add_event_sink(sink))
+    engine.timeout(2.0)
+    engine.timeout(3.0)
+    engine.run()
+    assert seen == [2.0, 3.0]
+    assert taken == ["_drain_bare_heap", "_drain_instrumented"]
+
+
+def test_removing_the_global_sink_finishes_on_the_bare_loop(engine, monkeypatch):
+    taken = _spy_on_loops(engine, monkeypatch)
+    seen: list[float] = []
+
+    def sink(_engine, when, _seq, _event):
+        seen.append(when)
+
+    Engine.add_global_event_sink(sink)
+    try:
+        engine.timeout(1.0).callbacks.append(
+            lambda _e: Engine.remove_global_event_sink(sink)
+        )
+        for delay in (2.0, 3.0, 4.0):
+            engine.timeout(delay)
+        engine.run()
+    finally:
+        if sink in Engine._global_event_sinks:
+            Engine.remove_global_event_sink(sink)
+    assert seen == [1.0]
+    assert taken == ["_drain_instrumented", "_drain_bare_heap"]
+    assert engine.events_processed == 4
