@@ -45,9 +45,8 @@ def test_a10_allocator_throughput(benchmark, allocator):
 
 
 @pytest.mark.benchmark(group="alloc")
-def test_a10_experiment(run_once, record_result):
+def test_a10_experiment(run_once):
     result = run_once(alloc.run)
-    record_result("alloc", result.render())
     # compaction must measurably reduce mean external fragmentation on churn
     by_key = {(r.allocator, r.compaction): r for r in result.ablation}
     for name in ("first-fit", "best-fit"):

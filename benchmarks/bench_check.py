@@ -7,7 +7,7 @@ metric: the flow pass (CFG + dataflow over every function in
 
     PYTHONPATH=src python benchmarks/bench_check.py --smoke
 
-times one full-repo lint pass (LMP001–LMP010), one full-repo flow pass
+times one full-repo lint pass (LMP001–LMP010, LMP016), one full-repo flow pass
 (LMP011–LMP015), and the flow mutation self-test, asserts the flow
 budget, and writes ``BENCH_check.json`` for the CI artifact upload.
 """

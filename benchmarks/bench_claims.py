@@ -14,24 +14,21 @@ from repro.experiments import cost, latency, nearmem
 
 
 @pytest.mark.benchmark(group="claims")
-def test_latency_ratios(run_once, record_result):
+def test_latency_ratios(run_once):
     result = run_once(latency.run)
-    record_result("latency_ratios", result.render())
     assert result.ratio_link0 == pytest.approx(2.8, abs=0.15)
     assert result.ratio_link1 == pytest.approx(3.6, abs=0.2)
 
 
 @pytest.mark.benchmark(group="claims")
-def test_cost_scenarios(run_once, record_result):
+def test_cost_scenarios(run_once):
     result = run_once(cost.run)
-    record_result("cost", result.render())
     assert result.scenario_1.physical_premium > 0
     assert result.scenario_2.physical_premium > 0
 
 
 @pytest.mark.benchmark(group="claims")
-def test_near_memory_computing(run_once, record_result):
+def test_near_memory_computing(run_once):
     result = run_once(nearmem.run)
-    record_result("nearmem", result.render())
     # shipping turns one server's bandwidth into every server's
     assert result.speedup > 4.0

@@ -2,23 +2,23 @@
 
 Measures the workload driver's wall-clock cost at 1, 8, and 32 tenants
 (the control plane is pure Python, so this is the practical scaling
-limit check), and records the full experiment's tables for
-EXPERIMENTS.md.
+limit check), and asserts the full experiment's claims.
 
 Also runnable directly (no pytest-benchmark needed) as the CI smoke
 job::
 
     PYTHONPATH=src python benchmarks/bench_cluster.py --smoke
 
-which verifies the race-detector seams are genuinely uninstalled (every
-hook slot is ``None``) and prints bare-engine and driver wall-clock
-numbers, so a regression that makes the instrumentation non-zero-cost
+which verifies the detector and observability seams are genuinely
+uninstalled (every hook slot is ``None``, see ``smoke_gate``) and
+prints bare-engine and driver wall-clock numbers, so a regression that makes the instrumentation non-zero-cost
 shows up as a step change in the logged throughput.
 """
 
 from __future__ import annotations
 
 import pytest
+import smoke_gate  # benchmarks/smoke_gate.py: the shared seam check
 
 from repro.cluster.driver import ClusterDriver, WorkloadMix
 from repro.cluster.manager import PoolManager
@@ -61,9 +61,8 @@ def test_c1_driver_scaling(benchmark, tenants):
 
 
 @pytest.mark.benchmark(group="cluster")
-def test_c1_experiment(run_once, record_result):
+def test_c1_experiment(run_once):
     result = run_once(cluster.run)
-    record_result("cluster", result.render())
     assert all(p.fairness >= 0.8 for p in result.policies)
     assert any(s.rejected > 0 for s in result.sweep)
     assert result.reclaim.leases_leaked == 0
@@ -87,58 +86,10 @@ def _bare_engine(events: int) -> None:
     engine.run()
 
 
-def _assert_detectors_uninstalled() -> None:
-    from repro.cluster.driver import ClusterDriver as _Driver
-    from repro.cluster.manager import PoolManager as _Manager
-    from repro.core.api import LmpSession
-    from repro.core.coherence.protocol import CoherenceDirectory
-    from repro.core.migration import LocalityBalancer
-    from repro.fabric.transport import MemoryTransport
-    from repro.hw.cpu import Core
-    from repro.mem.arena.gauntlet import Gauntlet
-    from repro.sim.engine import Engine
-    from repro.sim.fluid import FluidModel
-    from repro.sim.process import Process
-    from repro.workloads import vector_sum
-
-    slots = {
-        "Process._monitor": Process._monitor,
-        "Engine._monitor": Engine._monitor,
-        "LmpSession._access_monitor": LmpSession._access_monitor,
-        "CoherenceDirectory._race_hook": CoherenceDirectory._race_hook,
-        # observability seams (repro.obs) — all must default to None
-        "Process._obs": Process._obs,
-        "LmpSession._obs": LmpSession._obs,
-        "CoherenceDirectory._obs": CoherenceDirectory._obs,
-        "MemoryTransport._obs": MemoryTransport._obs,
-        "Core._obs": Core._obs,
-        "LocalityBalancer._obs": LocalityBalancer._obs,
-        "PoolManager._obs": _Manager._obs,
-        "ClusterDriver._obs": _Driver._obs,
-        "Gauntlet._obs": Gauntlet._obs,
-        "FluidModel._obs": FluidModel._obs,
-        "workloads.vector_sum._obs": vector_sum._obs,
-    }
-    stale = [name for name, value in slots.items() if value is not None]
-    if stale:
-        raise SystemExit(f"detector seams unexpectedly installed: {', '.join(stale)}")
-
-    # Dispatch fast-path seam: with every monitor and sink above clean, a
-    # fresh engine must take the bare specialized loop, not the
-    # instrumented one — otherwise the numbers below measure hook
-    # dispatch, not the engine.
-    probe = Engine()
-    if probe._step_hooks or probe._event_sinks or Engine._global_event_sinks:
-        raise SystemExit(
-            "fresh engine is instrumented: step hooks or event sinks are "
-            "installed, so the bare dispatch fast path will not engage"
-        )
-
-
 def smoke(events: int = 100_000, tenants: int = 8) -> None:
     import time
 
-    _assert_detectors_uninstalled()
+    smoke_gate.assert_seams_cold()
     started = time.perf_counter()
     _bare_engine(events)
     bare = time.perf_counter() - started
@@ -155,7 +106,7 @@ def smoke(events: int = 100_000, tenants: int = 8) -> None:
         started = time.perf_counter()
         obs_report = _drive(tenants)
         with_obs = time.perf_counter() - started
-    _assert_detectors_uninstalled()  # activated() must restore every seam
+    smoke_gate.assert_seams_cold()  # activated() must restore every seam
 
     print(
         f"bare engine: {events} events in {bare:.3f}s "

@@ -20,76 +20,31 @@ Standalone (the CI engine-bench job)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke
 
-writes ``BENCH_engine.json`` and exits non-zero if any configuration's
-events/sec drops more than 20% below the committed baseline in
-``benchmarks/baselines/BENCH_engine_baseline.json``, or if that
-baseline is missing or unreadable.  The JSON also
-carries each configuration's speedup over the seed engine (the revision
-before the fast DES core landed), measured once in this environment
-with this same script — see ``docs/performance.md`` for how to read it.
-
-The script runs unmodified against the seed engine (``--seed-compat``
-skips the regression gate), which is how the seed column was produced.
+writes ``BENCH_engine.json`` and holds every configuration's events/sec
+to the floors in ``benchmarks/baselines/BENCH_engine_baseline.json``
+through the gate shared with ``bench_scale.py`` (``smoke_gate.gate``):
+a rate more than 20% below its machine-scaled floor, or a missing or
+unreadable baseline, fails the run.  The JSON also carries each
+configuration's speedup over the seed engine (the revision before the
+fast DES core landed), from the seed rates recorded in the baseline —
+see ``docs/performance.md`` for how to read it.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import pathlib
 import time
 import typing as _t
 
 import pytest
+import smoke_gate  # benchmarks/smoke_gate.py: the shared regression gate
 
 from repro.sim.engine import Engine
 
 #: committed baseline: current events/sec per configuration (regression
-#: gate) plus the seed engine's rates measured with `--seed-compat` on a
-#: worktree of the pre-fast-core revision (speedup column)
+#: gate) plus the seed engine's rates on the same machine (speedup column)
 _BASELINE_PATH = pathlib.Path(__file__).parent / "baselines" / "BENCH_engine_baseline.json"
-
-#: allowed events/sec drop vs. the committed baseline before CI fails
-REGRESSION_TOLERANCE = 0.20
-
-
-def _load_baseline() -> dict[str, _t.Any] | None:
-    """The committed baseline, or None when it is missing, unparsable,
-    or carries no per-configuration floors."""
-    try:
-        baseline = json.loads(_BASELINE_PATH.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(baseline, dict) or not baseline.get("results"):
-        return None
-    return baseline
-
-
-def _calibrate() -> float:
-    """Machine-speed probe: a fixed engine-independent heap workload.
-
-    The committed floors were measured on one machine; a CI runner (or a
-    loaded box) is legitimately slower at *everything*, not just at this
-    benchmark.  The gate scales the floors by the ratio of this probe's
-    throughput to the value recorded alongside the baseline — capped at
-    1.0 so a faster machine never loosens the gate — making the floors
-    portable without letting an engine regression mask itself (the probe
-    never touches repro code)."""
-    from heapq import heappop, heappush
-
-    best = 0.0
-    for _ in range(3):
-        gc.collect()
-        started = time.perf_counter()
-        heap: list[tuple[int, int]] = []
-        n = 200_000
-        for i in range(n):
-            heappush(heap, ((i * 2654435761) % 1000003, i))
-        while heap:
-            heappop(heap)
-        secs = time.perf_counter() - started
-        best = max(best, (2 * n) / secs)
-    return best
 
 
 # -- workload 1: event churn ------------------------------------------------
@@ -293,13 +248,13 @@ def _configs() -> list[tuple[str, _t.Callable[[], dict[str, float]]]]:
     ]
 
 
-def smoke(
-    out: str = "BENCH_engine.json", seed_compat: bool = False, rounds: int = 2
-) -> None:
+def smoke(out: str = "BENCH_engine.json", rounds: int = 2) -> None:
     """Time every configuration, keeping the best of *rounds* runs per
     configuration — throughput noise on a shared machine is one-sided
     (external load only ever slows a run down), so best-of-N is the
     stable estimator the 20% regression gate needs."""
+    # read first: with no committed floors there is nothing to measure against
+    seed_rates = smoke_gate.load_baseline(_BASELINE_PATH).get("seed_events_per_sec", {})
     # warm-up: imports, bytecode, and allocator pools out of the timing
     event_churn(20_000)
     timeout_storm(20, 50)
@@ -324,8 +279,6 @@ def smoke(
             line += f"  ({results[name]['ops_per_sec']:,.0f} ops/s)"
         print(line)
 
-    baseline = _load_baseline()
-    seed_rates: dict[str, float] = (baseline or {}).get("seed_events_per_sec", {})
     for name, result in results.items():
         seed_rate = seed_rates.get(name)
         if seed_rate:
@@ -335,54 +288,7 @@ def smoke(
         print(f"cluster-driver dense slice speedup vs seed engine: "
               f"{headline['speedup_vs_seed']:.2f}x")
 
-    calibration = _calibrate()
-    path = pathlib.Path(out)
-    path.write_text(
-        json.dumps(
-            {"results": results, "calibration_ops_per_sec": round(calibration, 1)},
-            indent=2,
-        )
-        + "\n"
-    )
-    print(f"wrote {path}")
-
-    if seed_compat:
-        print("regression gate: not applied to a seed-compat capture")
-        return
-    # regression gate: >20% events/sec drop vs the committed baseline
-    # fails, with the floors scaled down on machines the calibration
-    # probe proves are slower than the one that recorded them; with no
-    # readable baseline there is nothing to hold the run to, so it fails
-    if baseline is None:
-        raise SystemExit(
-            f"engine bench: no readable committed baseline at {_BASELINE_PATH} "
-            "(regression gate cannot run)"
-        )
-    base_cal = baseline.get("calibration_ops_per_sec", 0.0)
-    scale = min(1.0, calibration / base_cal) if base_cal else 1.0
-    if scale < 1.0:
-        print(
-            f"machine calibration: {calibration:,.0f} probe ops/s vs "
-            f"{base_cal:,.0f} at baseline capture — floors scaled x{scale:.2f}"
-        )
-    failures: list[str] = []
-    for name, committed in baseline.get("results", {}).items():
-        current = results.get(name)
-        if current is None:
-            failures.append(f"{name}: configuration missing from this run")
-            continue
-        floor = committed["events_per_sec"] * (1.0 - REGRESSION_TOLERANCE) * scale
-        if current["events_per_sec"] < floor:
-            failures.append(
-                f"{name}: {current['events_per_sec']:,.0f} events/s is >"
-                f"{REGRESSION_TOLERANCE:.0%} below committed baseline "
-                f"{committed['events_per_sec']:,.0f}"
-                + (f" (floor scaled x{scale:.2f} for this machine)" if scale < 1.0 else "")
-            )
-    if failures:
-        raise SystemExit("engine bench regression:\n  " + "\n  ".join(failures))
-    print(f"regression gate: all configurations within "
-          f"{REGRESSION_TOLERANCE:.0%} of committed baseline — OK")
+    smoke_gate.gate("engine bench", results, _BASELINE_PATH, pathlib.Path(out))
 
 
 if __name__ == "__main__":
@@ -396,11 +302,6 @@ if __name__ == "__main__":
     )
     parser.add_argument("--out", default="BENCH_engine.json")
     parser.add_argument(
-        "--seed-compat",
-        action="store_true",
-        help="skip the regression gate (capturing the seed column on the seed engine)",
-    )
-    parser.add_argument(
         "--rounds",
         type=int,
         default=2,
@@ -409,4 +310,4 @@ if __name__ == "__main__":
     cli_args = parser.parse_args()
     if not cli_args.smoke:
         parser.error("pass --smoke (benchmark mode runs under pytest-benchmark)")
-    smoke(out=cli_args.out, seed_compat=cli_args.seed_compat, rounds=cli_args.rounds)
+    smoke(out=cli_args.out, rounds=cli_args.rounds)

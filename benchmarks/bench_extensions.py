@@ -14,9 +14,8 @@ from repro.experiments import accelerators, applications, multirack, software, s
 
 
 @pytest.mark.benchmark(group="extensions")
-def test_b0_software_vs_hardware(run_once, record_result):
+def test_b0_software_vs_hardware(run_once):
     result = run_once(software.run)
-    record_result("software", result.render())
     cache_line = result.latency_points[0]
     assert cache_line.size_bytes == 64
     # hardware load/store wins decisively at cache-line granularity...
@@ -29,9 +28,8 @@ def test_b0_software_vs_hardware(run_once, record_result):
 
 
 @pytest.mark.benchmark(group="extensions")
-def test_a9_application_kernels(run_once, record_result):
+def test_a9_application_kernels(run_once):
     result = run_once(applications.run)
-    record_result("applications", result.render())
     logical = result.score("Logical")
     nocache = result.score("Physical no-cache")
     # latency-bound kernels feel the architecture directly: local KV ops
@@ -42,9 +40,8 @@ def test_a9_application_kernels(run_once, record_result):
 
 
 @pytest.mark.benchmark(group="extensions")
-def test_a6_sweeps(run_once, record_result):
+def test_a6_sweeps(run_once):
     result = run_once(sweeps.run)
-    record_result("sweeps", result.render())
     # Logical never loses to the physical baselines, at any point
     for point in result.size_points:
         if point.physical_feasible:
@@ -61,9 +58,8 @@ def test_a6_sweeps(run_once, record_result):
 
 
 @pytest.mark.benchmark(group="extensions")
-def test_a8_accelerator_shipping(run_once, record_result):
+def test_a8_accelerator_shipping(run_once):
     result = run_once(accelerators.run)
-    record_result("accelerators", result.render())
     by_key = {(p.engine_kind, p.vector_gib): p for p in result.points}
     cpu = by_key[("cpu", 32.0)]
     offload = by_key[("accelerator", 32.0)]
@@ -74,9 +70,8 @@ def test_a8_accelerator_shipping(run_once, record_result):
 
 
 @pytest.mark.benchmark(group="extensions")
-def test_a7_multirack(run_once, record_result):
+def test_a7_multirack(run_once):
     result = run_once(multirack.run)
-    record_result("multirack", result.render())
     local, same_rack, cross_rack = result.tiers
     assert local.total_ns < same_rack.total_ns < cross_rack.total_ns
     assert cross_rack.hops == 4

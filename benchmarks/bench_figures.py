@@ -1,8 +1,8 @@
-"""F2–F5 — regenerate Figures 2, 3, 4, 5 (the §4 microbenchmark).
+"""F2–F5 — the claims of Figures 2, 3, 4, 5 (the §4 microbenchmark).
 
 Each figure runs the paper's full protocol: 10 repetitions, 3 pool
 configurations, both emulated links.  Assertions pin the paper's
-headline shapes; the rendered bar charts land in benchmarks/results/.
+headline shapes; ``repro run`` renders the bar charts.
 """
 
 from __future__ import annotations
@@ -13,18 +13,16 @@ from repro.experiments import figures
 
 
 @pytest.mark.benchmark(group="figures")
-def test_figure2_8gb_vector(run_once, record_result):
+def test_figure2_8gb_vector(run_once):
     result = run_once(figures.run_figure, "figure2")
-    record_result("figure2", result.render())
     # "up to 4.7x improved bandwidth compared to Physical no-cache"
     assert result.speedup("link1", "Physical no-cache") == pytest.approx(4.6, abs=0.3)
     assert result.bandwidth("Logical", "link1") == pytest.approx(97.0, rel=0.03)
 
 
 @pytest.mark.benchmark(group="figures")
-def test_figure3_24gb_vector(run_once, record_result):
+def test_figure3_24gb_vector(run_once):
     result = run_once(figures.run_figure, "figure3")
-    record_result("figure3", result.render())
     # the 24 GB scan thrashes the 8 GB cache: cache <= no-cache
     assert result.bandwidth("Physical cache", "link0") <= result.bandwidth(
         "Physical no-cache", "link0"
@@ -34,9 +32,8 @@ def test_figure3_24gb_vector(run_once, record_result):
 
 
 @pytest.mark.benchmark(group="figures")
-def test_figure4_64gb_vector(run_once, record_result):
+def test_figure4_64gb_vector(run_once):
     result = run_once(figures.run_figure, "figure4")
-    record_result("figure4", result.render())
     # 3/8 of the vector is local to the LMP server
     assert result.results[("Logical", "link1")].locality == pytest.approx(3 / 8)
     # Logical beats Physical cache on Link1 (paper: +42%)
@@ -44,9 +41,8 @@ def test_figure4_64gb_vector(run_once, record_result):
 
 
 @pytest.mark.benchmark(group="figures")
-def test_figure5_96gb_vector(run_once, record_result):
+def test_figure5_96gb_vector(run_once):
     result = run_once(figures.run_figure, "figure5")
-    record_result("figure5", result.render())
     for link in ("link0", "link1"):
         assert result.feasible("Logical", link)
         assert not result.feasible("Physical cache", link)

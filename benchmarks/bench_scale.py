@@ -16,24 +16,24 @@ job::
 
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke
 
-which first asserts every detector/observability seam (including
-``ScaleDriver._obs``) defaults to ``None`` and that a fresh engine
-takes the bare dispatch fast path, then writes ``BENCH_scale.json``
-and exits non-zero if any configuration's rate drops more than 20%
-below the committed floors in
-``benchmarks/baselines/BENCH_scale_baseline.json`` (machine-speed
-scaled, same scheme as ``bench_engine.py``).
+which first asserts every detector and observability seam defaults to
+``None`` and that a fresh engine takes the bare dispatch fast path,
+then writes ``BENCH_scale.json`` and holds each configuration's rate to
+the floors in ``benchmarks/baselines/BENCH_scale_baseline.json``
+through the gate shared with ``bench_engine.py`` (``smoke_gate.gate``):
+a rate more than 20% below its machine-scaled floor, or a missing or
+unreadable baseline, fails the run.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import pathlib
 import time
 import typing as _t
 
 import pytest
+import smoke_gate  # benchmarks/smoke_gate.py: seam check + regression gate
 
 from repro.cluster.manager import PoolManager
 from repro.core.runtime import LmpRuntime
@@ -54,30 +54,6 @@ from repro.units import kib, mib, us
 _BASELINE_PATH = (
     pathlib.Path(__file__).parent / "baselines" / "BENCH_scale_baseline.json"
 )
-
-#: allowed rate drop vs. the committed baseline before CI fails
-REGRESSION_TOLERANCE = 0.20
-
-
-def _calibrate() -> float:
-    """Machine-speed probe (identical scheme to bench_engine): scales
-    the committed floors down on provably slower runners, capped at 1.0
-    so a faster machine never loosens the gate."""
-    from heapq import heappop, heappush
-
-    best = 0.0
-    for _ in range(3):
-        gc.collect()
-        started = time.perf_counter()
-        heap: list[tuple[int, int]] = []
-        n = 200_000
-        for i in range(n):
-            heappush(heap, ((i * 2654435761) % 1000003, i))
-        while heap:
-            heappop(heap)
-        secs = time.perf_counter() - started
-        best = max(best, (2 * n) / secs)
-    return best
 
 
 def _manager(server_count: int = 4) -> PoolManager:
@@ -186,52 +162,18 @@ def test_s1_open_loop_slice(benchmark, tenants):
 
 
 @pytest.mark.benchmark(group="scale")
-def test_s1_experiment(run_once, record_result):
+def test_s1_experiment(run_once):
     from repro.experiments import scale as scale_experiment
 
     result = run_once(scale_experiment.run)  # the full default 10k-tenant S1
-    record_result("scale", result.render())
     assert result.elastic_wins_flash
 
 
 # -- standalone smoke mode (CI: BENCH_scale.json + regression gate) -----------
 
 
-def _assert_seams_cold() -> None:
-    """Every monitor/observability seam must default to None, and a
-    fresh engine must take the bare dispatch fast path — otherwise the
-    rates below measure hook dispatch, not the population machinery."""
-    from repro.cluster.driver import ClusterDriver
-    from repro.core.api import LmpSession
-    from repro.fabric.transport import MemoryTransport
-    from repro.sim.engine import Engine
-    from repro.sim.fluid import FluidModel
-    from repro.sim.process import Process
-
-    slots = {
-        "Process._monitor": Process._monitor,
-        "Engine._monitor": Engine._monitor,
-        "Process._obs": Process._obs,
-        "LmpSession._obs": LmpSession._obs,
-        "MemoryTransport._obs": MemoryTransport._obs,
-        "PoolManager._obs": PoolManager._obs,
-        "ClusterDriver._obs": ClusterDriver._obs,
-        "ScaleDriver._obs": ScaleDriver._obs,
-        "FluidModel._obs": FluidModel._obs,
-    }
-    stale = [name for name, value in slots.items() if value is not None]
-    if stale:
-        raise SystemExit(f"detector seams unexpectedly installed: {', '.join(stale)}")
-    probe = Engine()
-    if probe._step_hooks or probe._event_sinks or Engine._global_event_sinks:
-        raise SystemExit(
-            "fresh engine is instrumented: step hooks or event sinks are "
-            "installed, so the bare dispatch fast path will not engage"
-        )
-
-
 def smoke(out: str = "BENCH_scale.json", rounds: int = 2) -> None:
-    _assert_seams_cold()
+    smoke_gate.assert_seams_cold()
     # warm-up: imports, bytecode, allocator pools
     open_loop_slice(500)
 
@@ -248,47 +190,7 @@ def smoke(out: str = "BENCH_scale.json", rounds: int = 2) -> None:
         print(f"{name:20s}: {best['events_per_sec']:>12,.0f} /s "
               f"({best['seconds']:.3f}s)")
 
-    calibration = _calibrate()
-    path = pathlib.Path(out)
-    path.write_text(
-        json.dumps(
-            {"results": results, "calibration_ops_per_sec": round(calibration, 1)},
-            indent=2,
-        )
-        + "\n"
-    )
-    print(f"wrote {path}")
-
-    baseline: dict[str, _t.Any] = {}
-    if _BASELINE_PATH.exists():
-        baseline = json.loads(_BASELINE_PATH.read_text())
-    base_cal = baseline.get("calibration_ops_per_sec", 0.0)
-    scale = min(1.0, calibration / base_cal) if base_cal else 1.0
-    if scale < 1.0:
-        print(
-            f"machine calibration: {calibration:,.0f} probe ops/s vs "
-            f"{base_cal:,.0f} at baseline capture — floors scaled x{scale:.2f}"
-        )
-    failures: list[str] = []
-    for name, committed in baseline.get("results", {}).items():
-        current = results.get(name)
-        if current is None:
-            failures.append(f"{name}: configuration missing from this run")
-            continue
-        floor = committed["events_per_sec"] * (1.0 - REGRESSION_TOLERANCE) * scale
-        if current["events_per_sec"] < floor:
-            failures.append(
-                f"{name}: {current['events_per_sec']:,.0f}/s is >"
-                f"{REGRESSION_TOLERANCE:.0%} below committed baseline "
-                f"{committed['events_per_sec']:,.0f}"
-            )
-    if failures:
-        raise SystemExit("scale bench regression:\n  " + "\n  ".join(failures))
-    if baseline:
-        print(f"regression gate: all configurations within "
-              f"{REGRESSION_TOLERANCE:.0%} of committed baseline — OK")
-    else:
-        print("regression gate: no committed baseline found (gate skipped)")
+    smoke_gate.gate("scale bench", results, _BASELINE_PATH, pathlib.Path(out))
     print("detector seams: all None (zero-cost path) — OK")
 
 

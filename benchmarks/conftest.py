@@ -1,30 +1,17 @@
 """Benchmark support.
 
-Every bench renders its experiment's tables into
-``benchmarks/results/<id>.txt`` so EXPERIMENTS.md can quote them
-verbatim, and runs the experiment exactly once under the timer —
-drivers already repeat internally (the paper's 10 repetitions), so
-once is the honest cost measurement.
+The bench_*.py tests assert the paper's claims on each experiment and
+time it; they write nothing.  ``benchmarks/results/<id>.txt`` has one
+producer, ``python -m repro run all --out benchmarks/results``, and CI
+diffs a fresh ``repro run all`` against the committed files.  Each
+experiment runs exactly once under the timer — drivers already repeat
+internally (the paper's 10 repetitions), so once is the honest cost
+measurement.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-
-@pytest.fixture
-def record_result():
-    """Write a rendered experiment to benchmarks/results/<name>.txt."""
-
-    def _record(name: str, text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-    return _record
 
 
 @pytest.fixture

@@ -196,6 +196,77 @@ class GlobalRandomRule(Rule):
         return out
 
 
+def _random_constructors(tree: ast.AST) -> set[str]:
+    """Dotted names that build a ``random.Random`` in this module."""
+    names = {"random.Random"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(
+                f"{alias.asname}.Random"
+                for alias in node.names
+                if alias.name == "random" and alias.asname
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "random":
+            names.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name == "Random"
+            )
+    return names
+
+
+class PerItemRandomRule(Rule):
+    """LMP016 — a ``random.Random`` built, seeded and drawn once per item.
+
+    ``bytes(random.Random(s).randrange(256) for _ in range(n))`` builds
+    and seeds a fresh generator for every element, draws once and drops
+    it: a full seeding per item (seconds for a MiB payload), and with a
+    constant seed every item is the same value.  The rule flags a call
+    on a freshly built ``random.Random(...)`` inside a comprehension or
+    generator element, or inside a ``for``/``while`` body.  Build the
+    generator once, outside the loop, or draw in bulk
+    (``random.Random(s).randbytes(n)``).
+    """
+
+    id = "LMP016"
+    title = "random.Random rebuilt for every item"
+    subsystems = None  # examples and tests pay the cost too
+
+    def check(self, tree: ast.AST, ctx: LintContext) -> list[Violation]:
+        constructors = _random_constructors(tree)
+        found: dict[tuple[int, int], Violation] = {}
+        for node in ast.walk(tree):
+            for region in _per_item_regions(node):
+                for inner in ast.walk(region):
+                    func = inner.func if isinstance(inner, ast.Call) else None
+                    if (
+                        isinstance(func, ast.Attribute)
+                        and isinstance(func.value, ast.Call)
+                        and _dotted(func.value.func) in constructors
+                        and _pos(inner) not in found
+                    ):
+                        found[_pos(inner)] = self.violation(
+                            ctx,
+                            inner,
+                            f"Random(...).{func.attr}() builds and seeds a new "
+                            "generator for every item; build it once outside "
+                            "the loop or draw in bulk (e.g. randbytes(n))",
+                        )
+        return [found[key] for key in sorted(found)]
+
+
+def _per_item_regions(node: ast.AST) -> list[ast.AST]:
+    """The parts of *node* that run once per item: a comprehension's
+    element, or a loop's body (its ``else`` runs once)."""
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        return [node.elt]
+    if isinstance(node, ast.DictComp):
+        return [node.key, node.value]
+    if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+        return list(node.body)
+    return []
+
+
 def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -801,4 +872,5 @@ ALL_RULES: tuple[Rule, ...] = (
     HoldAcrossYieldRule(),
     BarePrintRule(),
     AmbientNondeterminismRule(),
+    PerItemRandomRule(),
 )

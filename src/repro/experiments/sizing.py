@@ -62,6 +62,18 @@ class SizingResult:
         )
 
 
+@dataclasses.dataclass(frozen=True)
+class SizingAblation:
+    """The skewed mix, where the policies differ, and the uniform
+    control, where every policy should do fine."""
+
+    skewed: SizingResult
+    uniform: SizingResult
+
+    def render(self) -> str:
+        return self.skewed.render() + "\n\n" + self.uniform.render()
+
+
 def skewed_scenario() -> tuple[list[AppDemand], list[ServerCapacity]]:
     """One big high-value tenant and several small ones, uneven homes."""
     demands = [
@@ -107,8 +119,8 @@ def _score(policy: SizingPolicy, demands: list[AppDemand], capacities: list[Serv
     )
 
 
-def run(scenario: str = "skewed") -> SizingResult:
-    """Score all three policies on one scenario."""
+def run_scenario(scenario: str) -> SizingResult:
+    """Score all three policies on one scenario (``skewed`` or ``uniform``)."""
     demands, capacities = (
         skewed_scenario() if scenario == "skewed" else uniform_scenario()
     )
@@ -119,3 +131,8 @@ def run(scenario: str = "skewed") -> SizingResult:
     ]
     scores = tuple(_score(p, list(demands), list(capacities)) for p in policies)
     return SizingResult(scenario=scenario, scores=scores)
+
+
+def run() -> SizingAblation:
+    """The A2 experiment: both scenarios."""
+    return SizingAblation(skewed=run_scenario("skewed"), uniform=run_scenario("uniform"))

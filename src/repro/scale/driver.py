@@ -46,11 +46,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ScaleDriver:
     """Open-loop population driver over one :class:`PoolManager`."""
 
-    #: observability seam, mirroring the cluster driver's: installed by
-    #: repro.obs when requested, None (no per-request span work) by
-    #: default — the bench asserts this stays uninstalled.
-    _obs: _t.ClassVar[_t.Any] = None
-
     def __init__(
         self,
         manager: "PoolManager",

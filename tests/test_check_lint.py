@@ -77,6 +77,64 @@ def test_lmp002_allows_explicit_generators():
     )
 
 
+# --- LMP016 per-item random.Random ---------------------------------------------
+
+#: the two payload lines that built and seeded one generator per byte
+PER_ITEM_RNG_FIXTURE = """\
+import random
+
+payload = bytes(random.Random(0).randrange(256) for _ in range(OBJECT_BYTES))
+payload = bytes(random.Random(3).randrange(256) for _ in range(5000))
+"""
+
+
+def lmp016_lines(source: str) -> list[int]:
+    report = lint_source(textwrap.dedent(source), SIM_PATH)
+    assert report.parse_error is None
+    return [v.line for v in report.violations if v.rule_id == "LMP016"]
+
+
+def test_lmp016_flags_both_old_payload_lines():
+    assert lmp016_lines(PER_ITEM_RNG_FIXTURE) == [3, 4]
+
+
+def test_lmp016_flags_loop_bodies_comprehensions_and_aliases():
+    source = """\
+    import random
+    import random as rnd
+    from random import Random as R
+
+    for i in range(8):
+        x = random.Random(i).random()
+    while more():
+        y = rnd.Random(1).choice(items)
+    table = {k: R(k).randrange(9) for k in keys}
+    """
+    assert lmp016_lines(source) == [6, 8, 9]
+
+
+def test_lmp016_flags_a_nested_comprehension_once():
+    source = """\
+    import random
+    for row in rows:
+        cells = [random.Random(c).random() for c in row]
+    """
+    assert lmp016_lines(source) == [3]
+
+
+def test_lmp016_allows_one_generator_per_stream():
+    source = """\
+    import random
+    payload = random.Random(0).randbytes(4096)
+    rng = random.Random(7)
+    noise = [rng.random() for _ in range(64)]
+    streams = [random.Random(seed) for seed in range(4)]
+    for stream in streams:
+        stream.shuffle(items)
+    """
+    assert lmp016_lines(source) == []
+
+
 # --- LMP003 set iteration -----------------------------------------------------
 
 

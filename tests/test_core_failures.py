@@ -172,7 +172,7 @@ def test_replication_config(logical_pool):
 
 
 def test_coded_buffer_round_trip(logical_pool, logical_deployment):
-    payload = bytes(random.Random(3).randrange(256) for _ in range(5000))
+    payload = random.Random(3).randbytes(5000)
     coded = ErasureCodedBuffer(logical_pool, 5000, data_shards=2, parity_shards=1)
     logical_deployment.run(coded.put(0, payload))
     assert logical_deployment.run(coded.get(0)) == payload

@@ -30,6 +30,14 @@ from repro.experiments import (
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "results"
 
 
+def test_one_golden_per_experiment():
+    """Every ``repro run`` experiment has exactly one committed output,
+    named after its id, and there is no output without an experiment."""
+    from repro.cli import EXPERIMENTS
+
+    assert set(EXPERIMENTS) == {path.stem for path in RESULTS.glob("*.txt")}
+
+
 # --- T1 / T2: calibration ----------------------------------------------------------
 
 
@@ -183,7 +191,7 @@ def test_incast_sweep_shapes():
 
 
 def test_sizing_optimizer_dominates():
-    result = sizing.run("skewed")
+    result = sizing.run_scenario("skewed")
     by_name = {s.policy: s for s in result.scores}
     assert by_name["global-optimizer"].objective >= by_name["static"].objective
     assert by_name["global-optimizer"].objective >= by_name["demand-driven"].objective - 1e-6
@@ -191,7 +199,7 @@ def test_sizing_optimizer_dominates():
 
 
 def test_sizing_uniform_scenario_everyone_satisfied():
-    result = sizing.run("uniform")
+    result = sizing.run_scenario("uniform")
     for score in result.scores:
         if score.policy != "static":  # static 50% may still fit; optimizer must
             assert score.satisfied == score.total_apps
