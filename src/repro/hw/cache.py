@@ -92,22 +92,37 @@ class PageCache:
         return False
 
     def access_range(self, offset: int, size: int, write: bool = False) -> RangeOutcome:
-        """Touch every page overlapping [offset, offset+size)."""
+        """Touch every page overlapping [offset, offset+size), in order —
+        the same outcome as :meth:`access` on each page, in one loop."""
         if size < 0:
             raise ConfigError(f"negative access size {size}")
         if size == 0:
             return RangeOutcome(0, 0, 0)
         first = offset // self.page_bytes
         last = (offset + size - 1) // self.page_bytes
-        writebacks_before = self.writebacks
-        hits = 0
-        misses = 0
+        frames = self._frames
+        frame_count = self.frame_count
+        move_to_end = frames.move_to_end
+        evict = frames.popitem
+        hits = misses = evictions = writebacks = 0
         for page_id in range(first, last + 1):
-            if self.access(page_id, write=write):
+            if page_id in frames:
                 hits += 1
-            else:
-                misses += 1
-        return RangeOutcome(hits, misses, self.writebacks - writebacks_before)
+                move_to_end(page_id)
+                if write:
+                    frames[page_id] = True
+                continue
+            misses += 1
+            if len(frames) >= frame_count:
+                evictions += 1
+                if evict(last=False)[1]:
+                    writebacks += 1
+            frames[page_id] = write
+        self.hits += hits
+        self.misses += misses
+        self.evictions += evictions
+        self.writebacks += writebacks
+        return RangeOutcome(hits, misses, writebacks)
 
     def invalidate(self, page_id: int) -> None:
         """Drop a page without writeback (e.g. the backing buffer was freed)."""

@@ -18,6 +18,12 @@ as a streaming request generator:
 prefetchers that run ahead of them; with 14 cores this saturates both
 the 97 GB/s local channel and the 34.5/21 GB/s emulated CXL links, as in
 the paper's testbed.
+
+A stream runs as a callback chain, not as a process (the same shape as
+:mod:`repro.fabric.transport`): the latency timeout's callback starts
+the chunk's fluid transfer, and the transfer's completion callback
+starts the next chunk or succeeds the stream's event with the bytes
+moved.  No generator is resumed per chunk.
 """
 
 from __future__ import annotations
@@ -27,12 +33,12 @@ import typing as _t
 
 from repro.errors import ConfigError
 from repro.hw.latency import mlp_rate_cap
+from repro.sim.events import Event, lazy_event
 from repro.sim.fluid import Capacity, FluidModel
 from repro.units import mib
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
-    from repro.sim.process import Process
 
 
 @dataclasses.dataclass
@@ -58,9 +64,10 @@ class AccessSegment:
 class Core:
     """One hardware thread streaming data through the fluid model."""
 
-    #: installed by repro.obs.Observability: charges per-chunk stream
-    #: time to the latency-breakdown categories on the core's process
-    #: span.  None = one class-attribute load per stream body.
+    #: installed by repro.obs.Observability: records one span per stream
+    #: under the caller's running span, charged with the per-chunk
+    #: stream time by latency category.  None = one class-attribute load
+    #: per stream.
     _obs: _t.ClassVar[_t.Any] = None
 
     #: segment labels served by this server's own DRAM (everything else
@@ -93,57 +100,145 @@ class Core:
         """This core's MLP streaming ceiling at the given latency."""
         return mlp_rate_cap(latency_ns, self.mlp_lines, self.line_bytes)
 
-    def stream(self, segments: _t.Sequence[AccessSegment]) -> "Process":
-        """Spawn a process that streams every segment in order; the
-        process returns the bytes moved."""
-        return self.engine.process(self._stream_body(list(segments)), name=f"{self.name}.stream")
+    def stream(self, segments: _t.Sequence[AccessSegment]) -> Event:
+        """Stream every segment in order; the returned event succeeds
+        with the bytes moved (or fails with whatever a step raised)."""
+        return _Stream(self, list(segments)).done
 
-    def _stream_body(self, segments: list[AccessSegment]):
-        moved = 0
-        obs = Core._obs
-        for seg in segments:
-            remaining = seg.nbytes
-            fill_remaining = seg.fill_bytes
-            remote = bool(seg.label) and seg.label not in Core._LOCAL_LABELS
-            if obs is not None:
-                obs.annotate(core=self.name, label=seg.label or "scan", remote=remote)
-            while remaining > 0:
-                chunk = min(self.chunk_bytes, remaining)
-                # Cache-miss chunks fetch from the fill path first (the
-                # upfront memcpy of the Physical-cache configuration).
-                if seg.fill_path is not None and fill_remaining > 0:
-                    fill_chunk = min(self.chunk_bytes, fill_remaining)
-                    fill_lat = (seg.fill_latency_fn or seg.latency_fn)()
-                    fill_started = self.engine.now
-                    done = self.fluid.transfer(
-                        seg.fill_path,
-                        fill_chunk,
-                        rate_cap=self.rate_cap(fill_lat),
-                        tag=f"{self.name}.fill",
+
+class _Stream:
+    """One :meth:`Core.stream` as a callback chain.
+
+    A zero-delay start event begins the first chunk, so the stream's
+    first step runs where a spawned process would first run.  Each chunk
+    is then: an optional cache fill (a fluid transfer on the fill path),
+    the access-latency timeout, and the chunk's fluid transfer.  Each
+    step's callback starts the next one, and the last transfer's
+    callback succeeds :attr:`done` with the bytes moved.  Under
+    :class:`~repro.obs.Observability` the stream records one span,
+    parented to the caller's running span, which takes every chunk's
+    latency-category charges.
+    """
+
+    __slots__ = (
+        "core", "segments", "index", "seg", "tag", "remote", "remaining",
+        "fill_remaining", "chunk", "latency", "started", "moved", "done", "obs", "span",
+    )
+
+    def __init__(self, core: Core, segments: list[AccessSegment]) -> None:
+        engine = core.engine
+        name = f"{core.name}.stream"
+        self.core = core
+        self.segments = segments
+        self.index = 0
+        self.seg: AccessSegment | None = None
+        self.tag = ""
+        self.remote = False
+        self.remaining = 0
+        self.fill_remaining = 0
+        self.chunk = 0
+        self.latency = 0.0
+        self.started = 0.0
+        self.moved = 0
+        self.done = Event(engine, name=name)
+        obs = self.obs = Core._obs
+        self.span = obs.stream_begin(engine, name) if obs is not None else None
+        start = lazy_event(engine, "start", name)
+        start._value = None
+        start.callbacks.append(self._step)
+        engine._schedule(start, delay=0.0)
+
+    def _step(self, _ev: Event | None = None) -> None:
+        """Start the next chunk's first step, or finish the stream."""
+        try:
+            while self.remaining <= 0:
+                if self.index == len(self.segments):
+                    self._end(None)
+                    return
+                seg = self.seg = self.segments[self.index]
+                self.index += 1
+                self.remaining = seg.nbytes
+                self.fill_remaining = seg.fill_bytes
+                self.remote = bool(seg.label) and seg.label not in Core._LOCAL_LABELS
+                self.tag = f"{self.core.name}.{seg.label or 'scan'}"
+                if self.span is not None:
+                    self.obs.stream_segment(
+                        self.span, self.core.name, seg.label or "scan", self.remote
                     )
-                    yield done
-                    if obs is not None:
-                        # cache fills always cross the fabric
-                        obs.route_time(True, 0.0, self.engine.now - fill_started)
-                    fill_remaining -= fill_chunk
-                latency = seg.latency_fn()
-                # The first line of each chunk pays the access latency;
-                # the rest stream behind it.
-                yield self.engine.timeout(latency)
-                chunk_started = self.engine.now
-                done = self.fluid.transfer(
-                    seg.path,
-                    chunk,
-                    rate_cap=self.rate_cap(latency),
-                    tag=f"{self.name}.{seg.label or 'scan'}",
+            core = self.core
+            seg = self.seg
+            assert seg is not None
+            self.chunk = min(core.chunk_bytes, self.remaining)
+            # Cache-miss chunks fetch from the fill path first (the
+            # upfront memcpy of the Physical-cache configuration).
+            if seg.fill_path is not None and self.fill_remaining > 0:
+                fill_chunk = min(core.chunk_bytes, self.fill_remaining)
+                self.fill_remaining -= fill_chunk
+                fill_lat = (seg.fill_latency_fn or seg.latency_fn)()
+                self.started = core.engine.now
+                core.fluid.transfer(
+                    seg.fill_path,
+                    fill_chunk,
+                    rate_cap=core.rate_cap(fill_lat),
+                    tag=f"{core.name}.fill",
+                    on_complete=self._filled,
                 )
-                yield done
-                if obs is not None:
-                    obs.route_time(remote, latency, self.engine.now - chunk_started)
-                remaining -= chunk
-                moved += chunk
-                self.bytes_streamed += chunk
-        return moved
+            else:
+                self._issue()
+        except Exception as exc:
+            self._end(exc)
+
+    def _filled(self, _ev: Event) -> None:
+        if self.span is not None:
+            # cache fills always cross the fabric
+            self.obs.stream_hop(self.span, True, 0.0, self.core.engine.now - self.started)
+        try:
+            self._issue()
+        except Exception as exc:
+            self._end(exc)
+
+    def _issue(self) -> None:
+        """Pay the chunk's access latency: the first line of each chunk
+        pays it, and the rest stream behind it."""
+        seg = self.seg
+        assert seg is not None
+        latency = self.latency = seg.latency_fn()
+        self.core.engine.timeout(latency).callbacks.append(self._transfer)
+
+    def _transfer(self, _ev: Event) -> None:
+        core = self.core
+        seg = self.seg
+        assert seg is not None
+        self.started = core.engine.now
+        try:
+            core.fluid.transfer(
+                seg.path,
+                self.chunk,
+                rate_cap=core.rate_cap(self.latency),
+                tag=self.tag,
+                on_complete=self._transferred,
+            )
+        except Exception as exc:
+            self._end(exc)
+
+    def _transferred(self, _ev: Event) -> None:
+        if self.span is not None:
+            self.obs.stream_hop(
+                self.span, self.remote, self.latency, self.core.engine.now - self.started
+            )
+        chunk = self.chunk
+        self.remaining -= chunk
+        self.moved += chunk
+        self.core.bytes_streamed += chunk
+        self._step()
+
+    def _end(self, exc: Exception | None) -> None:
+        if self.span is not None:
+            self.obs.stream_end(self.span, self.core.engine.now)
+        if exc is None:
+            self.done.succeed(self.moved)
+        else:
+            self.done.fail(exc)
 
 
 class CpuSocket:
@@ -171,9 +266,11 @@ class CpuSocket:
     def core_count(self) -> int:
         return len(self.cores)
 
-    def parallel_stream(self, per_core_segments: _t.Sequence[_t.Sequence[AccessSegment]]):
-        """Start one streaming process per entry; returns the list of
-        processes (each an event yielding that core's bytes moved).
+    def parallel_stream(
+        self, per_core_segments: _t.Sequence[_t.Sequence[AccessSegment]]
+    ) -> list[Event]:
+        """Start one stream per entry; returns the list of stream events
+        (each succeeds with that core's bytes moved).
 
         The caller typically wraps them in ``engine.all_of(...)``.
         """

@@ -31,7 +31,14 @@ from repro.errors import ObservabilityError
 CATEGORIES = ("cache", "link", "fabric", "dram", "queue", "migration")
 
 #: the :class:`~repro.sim.fluid.FluidModel` self-counters, by attribute
-SOLVER_COUNTERS = ("recomputes", "single_group_recomputes", "groups_solved", "flows_solved")
+SOLVER_COUNTERS = (
+    "recomputes",
+    "single_group_recomputes",
+    "groups_solved",
+    "flows_solved",
+    "solves_reused",
+    "ticks_rearmed",
+)
 
 #: root-eligible components: a request tree starts at a driver request /
 #: microbenchmark repetition, or a bare session access outside any request
@@ -149,7 +156,9 @@ def solver_line(totals: _t.Mapping[str, float]) -> str:
         f"fluid solver: {int(recomputes)} recomputes, "
         f"{totals['groups_solved'] / recomputes:.2f} groups and "
         f"{totals['flows_solved'] / recomputes:.2f} flows per recompute, "
-        f"{100.0 * totals['single_group_recomputes'] / recomputes:.1f}% single-group"
+        f"{100.0 * totals['single_group_recomputes'] / recomputes:.1f}% single-group, "
+        f"{int(totals['solves_reused'])} reused, "
+        f"{int(totals['ticks_rearmed'])} ticks re-armed"
     )
 
 

@@ -22,9 +22,9 @@ spans (stored in its ``_obs_scope`` slot).  The recorder's *active*
 stack switches on every resume/suspend, so a span opened inside a
 process stays its children's parent across yields, and a process
 spawned while another runs becomes that process's child.  A transport
-operation is a callback chain, not a process: it opens its ``fabric``
-span at issue time, parented to whatever span is running, and closes
-it from its completion callback.
+operation and a core stream are callback chains, not processes: each
+opens its ``fabric`` or ``stream`` span at issue time, parented to
+whatever span is running, and closes it from its completion callback.
 """
 
 from __future__ import annotations
@@ -189,16 +189,11 @@ class SpanRecorder:
             attrs[key] = attrs.get(key, 0.0) + delta
 
     def route_time(
-        self, remote: bool, latency_ns: float, transfer_ns: float, span: Span | None = None
+        self, remote: bool, latency_ns: float, transfer_ns: float, span: Span
     ) -> None:
         """Charge one fabric hop to the latency-breakdown categories of
-        *span* (default: the currently-running span): a remote hop is
-        link latency plus fabric transfer time; a local hop is all DRAM
-        service."""
-        if span is None:
-            if not self._active:
-                return
-            span = self._active[-1]
+        *span*: a remote hop is link latency plus fabric transfer time; a
+        local hop is all DRAM service."""
         attrs = span.attrs
         if remote:
             attrs["cat_link_ns"] = attrs.get("cat_link_ns", 0.0) + latency_ns
@@ -368,16 +363,31 @@ class Observability:
     def on_finish(self, proc: "Process") -> None:
         self.recorder.on_finish(proc)
 
-    # -- generic annotations (coherence, transport, cpu, manager seams) ------
-
-    def annotate(self, **attrs: _t.Any) -> None:
-        self.recorder.annotate(**attrs)
+    # -- generic annotations (coherence, arena, manager seams) ----------------
 
     def add(self, key: str, delta: float) -> None:
         self.recorder.add(key, delta)
 
-    def route_time(self, remote: bool, latency_ns: float, transfer_ns: float) -> None:
-        self.recorder.route_time(remote, latency_ns, transfer_ns)
+    # -- core stream seam ----------------------------------------------------
+
+    def stream_begin(self, engine: _t.Any, name: str) -> Span:
+        """Start the span of one core stream, parented to the caller's
+        running span but not pushed on its scope (like
+        :meth:`fabric_begin`): the stream is a callback chain."""
+        return self.recorder.start(name, "stream", engine)
+
+    def stream_segment(self, span: Span, core: str, label: str, remote: bool) -> None:
+        """Record the segment the stream is now serving on *span*."""
+        span.attrs.update(core=core, label=label, remote=remote)
+
+    def stream_hop(
+        self, span: Span, remote: bool, latency_ns: float, transfer_ns: float
+    ) -> None:
+        """Charge one chunk (or cache fill) of the stream to *span*."""
+        self.recorder.route_time(remote, latency_ns, transfer_ns, span)
+
+    def stream_end(self, span: Span, now: float) -> None:
+        self.recorder.finish(span, now)
 
     # -- transport seam ------------------------------------------------------
 

@@ -147,6 +147,14 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
 
+    def _schedule_at(self, event: Event, when: float) -> None:
+        """Schedule *event* at the absolute time *when*: the exact float,
+        where ``_schedule(event, when - now)`` could round it."""
+        if when < self._now:
+            raise SimulationError(f"cannot schedule event at {when} < now {self._now}")
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, event))
+
     def add_step_hook(self, hook: _t.Callable[["Engine"], None]) -> None:
         """Register *hook* to run before every event dispatch.
 

@@ -23,6 +23,15 @@ progress is advanced only at rate transitions — a flow start, a
 completion tick, or an explicit :meth:`FluidModel.settle` — so event
 dispatch costs the model nothing between them.
 
+Each model keeps at most one live completion tick on the engine heap.
+A solve stores the absolute time it wants to be woken at and pushes a
+tick only when that is earlier than the pending one; a tick that fires
+before the stored time re-arms itself for it.  And because capacity
+rates never change, a multi-group solve's rates depend only on which
+groups are active and how many members each has: a model remembers
+the solves whose inputs come back and replays them instead of
+water-filling again.
+
 This is the standard technique for simulating bandwidth-bound systems at
 scale (flow-level network simulation), and it is the reason we can "run"
 96 GB scans in milliseconds of wall-clock time.
@@ -134,10 +143,12 @@ class _FlowGroup:
     its length is the member count.
     """
 
-    __slots__ = ("key", "path", "cap", "simple", "rate", "service", "heap")
+    __slots__ = ("key", "gid", "path", "cap", "simple", "rate", "service", "heap")
 
-    def __init__(self, path: tuple[Capacity, ...], cap: float) -> None:
+    def __init__(self, path: tuple[Capacity, ...], cap: float, gid: int) -> None:
         self.key = (path, cap)
+        #: the model-wide serial of this group (its part of a solve key)
+        self.gid = gid
         self.path = path
         self.cap = cap
         #: True when the path visits each capacity at most once (lets the
@@ -161,8 +172,10 @@ class FluidModel:
 
     The model counts its own work in plain integers: ``recomputes``
     (water-filling passes that had flows to solve), how many of those
-    took the single-group fast path, and the group and flow counts
-    summed over all passes (divide by ``recomputes`` for the means).
+    took the single-group fast path, the group and flow counts summed
+    over all passes (divide by ``recomputes`` for the means), how many
+    multi-group passes replayed a remembered solve (``solves_reused``),
+    and how many ticks fired early and re-armed (``ticks_rearmed``).
     """
 
     #: observability seam (see :mod:`repro.obs.tracing`): None unless an
@@ -171,19 +184,34 @@ class FluidModel:
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        #: groups keyed by (path, rate_cap), insertion-ordered so the
-        #: water-filling's bottleneck tie-breaks are reproducible
+        #: active groups keyed by (path, rate_cap), insertion-ordered so
+        #: the water-filling's bottleneck tie-breaks are reproducible
         self._groups: dict[tuple[tuple[Capacity, ...], float], _FlowGroup] = {}
+        #: every group formed so far, active or idle, by the same key
+        self._known: dict[tuple[tuple[Capacity, ...], float], _FlowGroup] = {}
+        #: groups formed so far (the next group's serial)
+        self._groups_formed = 0
         #: capacities crossed by at least one active flow (dict-as-set)
         self._caps: dict[Capacity, None] = {}
         self._active = 0
         self._flow_seq = 0
         self._last_advance = engine.now
-        self._tick_generation = 0
+        #: the one live ``fluid.tick`` on the engine heap and its heap time
+        self._tick: Event | None = None
+        self._tick_at = math.inf
+        #: absolute time the latest solve asked to be woken at
+        self._wake = math.inf
+        #: multi-group solves, keyed by each active group's serial and
+        #: member count in group order (see _recompute)
+        self._solved: dict[tuple[int, ...], tuple[_t.Any, ...]] = {}
+        #: digests of the solve keys met once so far
+        self._seen: set[int] = set()
         self.recomputes = 0
         self.single_group_recomputes = 0
         self.groups_solved = 0
         self.flows_solved = 0
+        self.solves_reused = 0
+        self.ticks_rearmed = 0
         obs = FluidModel._obs
         if obs is not None:
             obs.fluid_model(self)
@@ -221,7 +249,7 @@ class FluidModel:
         key = (route, rate_cap)
         group = self._groups.get(key)
         if group is None:
-            group = self._groups[key] = _FlowGroup(route, rate_cap)
+            group = self._join_group(key)
         self._flow_seq += 1
         flow = Transfer(size, done, self.engine.now, self._flow_seq, group, tag)
         heappush(group.heap, (group.service + size, flow.seq, flow))
@@ -242,6 +270,27 @@ class FluidModel:
     def active_transfers(self) -> int:
         return self._active
 
+    def _join_group(self, key: tuple[tuple[Capacity, ...], float]) -> "_FlowGroup":
+        """Activate the group for *key*: the one this model formed for it
+        before, restarted from zero service like a fresh group, or a new
+        one.  Keeping groups makes them the solve table's key parts."""
+        known = self._known
+        group = known.get(key)
+        if group is None:
+            if len(known) >= self.KNOWN_GROUPS_MAX:
+                # forget the idle groups; solves that named them can
+                # never match again, so the table goes with them
+                known = self._known = dict(self._groups)
+                self._solved.clear()
+                self._seen.clear()
+            group = known[key] = _FlowGroup(key[0], key[1], self._groups_formed)
+            self._groups_formed += 1
+        else:
+            group.service = 0.0
+            group.rate = 0.0
+        self._groups[key] = group
+        return group
+
     def settle(self) -> None:
         """Bring flow progress up to the current time and complete any
         drained flows.  Progress otherwise advances only at rate
@@ -256,6 +305,12 @@ class FluidModel:
     #: of this size are float error from rate*dt accumulation, and letting
     #: them linger deadlocks once dt underflows the clock's ulp
     COMPLETION_EPSILON = 1e-3
+
+    #: most multi-group solves (and first-met solve keys) one model
+    #: remembers; the oldest solve goes first when the table is full
+    SOLVED_MAX = 4096
+    #: most groups one model keeps; past it the idle ones are forgotten
+    KNOWN_GROUPS_MAX = 4096
 
     def _advance(self) -> list[Transfer] | None:
         """Drain bytes according to current rates up to the current time.
@@ -331,15 +386,21 @@ class FluidModel:
         (the cap is a per-member pseudo-capacity); otherwise every group
         crossing the bottleneck freezes at the share.  This is the
         per-flow algorithm's rule in the per-flow algorithm's order; only
-        ``n * rate`` replaces n repeated subtractions.  The next
-        completion horizon is folded into the rate assignment, and each
-        capacity's used rate is the water-filling residue, so nothing
-        here visits individual flows.
+        ``n * rate`` replaces n repeated subtractions.  Each capacity's
+        used rate is the water-filling residue, and the next completion
+        horizon comes from the group heaps, so nothing here visits
+        individual flows.
+
+        Capacity rates never change, so the rates and used rates depend
+        only on which groups are active, in order, and their member
+        counts.  A multi-group solve is remembered under that key (see
+        :data:`SOLVED_MAX`), and a repeat of it is replayed instead of
+        water-filled again; the horizon is always computed afresh.
         """
         groups = self._groups
         if not groups:
-            # nothing to solve; retire any pending tick
-            self._tick_generation += 1
+            # nothing to solve; a pending tick finds nothing to wake for
+            self._wake = math.inf
             return
         now = self.engine.now
         self.recomputes += 1
@@ -370,6 +431,39 @@ class FluidModel:
                 self._schedule_next_tick((heap[0][0] - group.service) / rate)
                 return
 
+        parts: list[int] = []
+        for group in groups.values():
+            parts.append(group.gid)
+            parts.append(len(group.heap))
+        key = tuple(parts)
+        solved = self._solved.get(key)
+        if solved is None:
+            solved = self._water_fill()
+            # Keep a solve only when its key comes back: an open-loop mix
+            # rarely repeats one, and the table would fill with the rest.
+            # Two keys whose digests collide only get kept one solve early.
+            digest = hash(key)
+            seen = self._seen
+            if digest in seen:
+                memo = self._solved
+                if len(memo) >= self.SOLVED_MAX:
+                    del memo[next(iter(memo))]
+                memo[key] = solved
+            else:
+                if len(seen) >= self.SOLVED_MAX:
+                    seen.clear()
+                seen.add(digest)
+        else:
+            self.solves_reused += 1
+            self._replay(solved)
+        self._schedule_next_tick(self._horizon())
+
+    def _water_fill(self) -> tuple[_t.Any, ...]:
+        """The water-filling rounds.  Sets every group's rate and every
+        crossed capacity's used rate, and returns the solve as
+        ``(index, rate, index, rate, ...)``: each group's index in group
+        order and its per-member rate, in the order the groups froze."""
+        groups = self._groups
         # capacity -> [remaining rate, unfrozen crossings]; insertion
         # order makes the bottleneck tie-breaks reproducible
         state: dict[Capacity, list[_t.Any]] = {}
@@ -382,8 +476,9 @@ class FluidModel:
                 else:
                     entry[1] += n
 
-        horizon = math.inf
-        unfrozen = dict.fromkeys(groups.values())
+        steps: list[_t.Any] = []
+        #: unfrozen group -> its index in group order
+        unfrozen = {group: i for i, group in enumerate(groups.values())}
         while unfrozen:
             best_share = math.inf
             best_cap: Capacity | None = None
@@ -396,30 +491,42 @@ class FluidModel:
             if best_cap is None:
                 raise SimulationError("water-filling found flows with no constraints")
             frozen = [g for g in unfrozen if g.cap <= best_share]
-            if frozen:
-                for group in frozen:
-                    group.rate = group.cap
-            else:
+            if not frozen:
                 frozen = [g for g in unfrozen if best_cap in g.path]
-                for group in frozen:
-                    group.rate = best_share
             for group in frozen:
-                del unfrozen[group]
-                rate = group.rate
+                rate = group.rate = group.cap if group.cap <= best_share else best_share
+                steps.append(unfrozen.pop(group))
+                steps.append(rate)
                 n = len(group.heap)
-                if rate > 0.0:
-                    h = (group.heap[0][0] - group.service) / rate
-                    if h < horizon:
-                        horizon = h
                 for cap in group.path:
                     entry = state[cap]
                     entry[0] -= rate * n
                     entry[1] -= n
-
         # Every group froze, so cap.rate - remaining is the sum of the
         # member rates crossing each capacity.
-        for cap, entry in state.items():  # noqa: LMP003 - stats refresh over the same deterministic order
-            used = cap.rate - entry[0]
+        self._set_used_rates((cap, entry[0]) for cap, entry in state.items())
+        return tuple(steps)
+
+    def _replay(self, steps: tuple[_t.Any, ...]) -> None:
+        """Apply a remembered solve: set each group's rate and take it off
+        every capacity it crosses in the order the groups froze, so each
+        used rate is the same float the water-filling left."""
+        ordered = list(self._groups.values())
+        remaining: dict[Capacity, float] = {}
+        pairs = iter(steps)
+        for i, rate in zip(pairs, pairs):
+            group = ordered[i]
+            group.rate = rate
+            take = rate * len(group.heap)
+            for cap in group.path:
+                remaining[cap] = remaining.get(cap, cap.rate) - take
+        self._set_used_rates(remaining.items())
+
+    def _set_used_rates(self, residues: _t.Iterable[tuple[Capacity, float]]) -> None:
+        """Set each capacity's used rate from its water-filling residue."""
+        now = self.engine.now
+        for cap, left in residues:
+            used = cap.rate - left
             if used < 0.0:
                 used = 0.0
             cap._used_rate = used
@@ -427,7 +534,6 @@ class FluidModel:
             if gauge is None:
                 gauge = cap._util_gauge = cap.stats.gauge("utilization", 0.0, 0.0)
             gauge.update(used / cap.rate, now)
-        self._schedule_next_tick(horizon)
 
     def _horizon(self) -> float:
         """Time until the earliest member of any group drains."""
@@ -440,22 +546,49 @@ class FluidModel:
         return horizon
 
     def _schedule_next_tick(self, horizon: float) -> None:
-        """Wake the engine when the earliest flow will drain."""
-        self._tick_generation += 1
+        """Ask to be woken when the earliest flow will drain.
+
+        The wake time is stored; a new tick goes on the heap only when it
+        is earlier than the pending one.  A pending tick that fires
+        before the stored wake time re-arms itself for it (see _on_tick),
+        so no tick is pushed just to be superseded.
+        """
         if horizon == math.inf:
+            self._wake = math.inf
             return
         # The clock's resolution shrinks as it grows; a horizon below one
         # ulp would fire "now", advance by dt == 0, and drain nothing.
-        floor = 4.0 * math.ulp(self.engine.now)
-        tick = Event(self.engine, name="fluid.tick")
-        # the tick's value is the generation it was scheduled under
-        tick._value = self._tick_generation
-        tick.callbacks.append(self._on_tick)
-        self.engine._schedule(tick, delay=horizon if horizon > floor else floor)
+        now = self.engine.now
+        floor = 4.0 * math.ulp(now)
+        wake = self._wake = now + (horizon if horizon > floor else floor)
+        if wake < self._tick_at:
+            # the pending tick, if any, is superseded and fires as a no-op
+            tick = Event(self.engine, name="fluid.tick")
+            tick._value = None
+            tick.callbacks.append(self._on_tick)
+            self._tick = tick
+            self._tick_at = wake
+            self.engine._schedule_at(tick, wake)
 
     def _on_tick(self, tick: Event) -> None:
-        if tick._value != self._tick_generation:
-            return  # a newer recompute superseded this tick
+        if tick is not self._tick:
+            return  # an earlier tick superseded this one
+        wake = self._wake
+        if self.engine.now < wake:
+            # A solve since this tick was pushed moved the wake later.
+            # Re-arm at the exact stored float; advancing here would split
+            # rate * dt in two and move the byte totals.
+            if wake == math.inf:
+                self._tick = None
+                self._tick_at = math.inf
+                return
+            self.ticks_rearmed += 1
+            self._tick_at = wake
+            tick.callbacks = [self._on_tick]
+            self.engine._schedule_at(tick, wake)
+            return
+        self._tick = None
+        self._tick_at = math.inf
         finished = self._advance()
         if finished is not None:
             self._finish(finished)

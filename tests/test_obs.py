@@ -236,6 +236,47 @@ def test_transport_op_records_fabric_span_under_caller():
     assert row.category_ns["dram"] == pytest.approx(local_hop.attrs["cat_dram_ns"])
 
 
+def test_core_stream_records_stream_span_under_caller():
+    """A core stream is a callback chain, not a process, yet it shows up
+    in the causal tree: one ``stream`` span under the caller's running
+    span, charged DRAM time for its local segment and link plus fabric
+    time for its remote one."""
+    from repro.hw.cpu import AccessSegment, Core
+    from repro.hw.dram import MemoryDevice
+    from repro.hw.specs import CXL_FPGA, LOCAL_DDR4
+    from repro.sim.fluid import Capacity, FluidModel
+
+    engine = Engine()
+    fluid = FluidModel(engine)
+    local = MemoryDevice(engine, fluid, LOCAL_DDR4, mib(64), name="local")
+    remote = MemoryDevice(engine, fluid, CXL_FPGA, mib(64), name="remote")
+    link = Capacity("link", 21.0)
+    core = Core(engine, fluid, "c0", chunk_bytes=mib(1))
+    segments = [
+        AccessSegment((local.channel,), mib(2), local.loaded_latency, label="local"),
+        AccessSegment((link, remote.channel), mib(2), remote.loaded_latency, label="remote"),
+    ]
+    obs = Observability()
+    with obs.activated():
+        caller = obs.recorder.open("caller", "request", engine)
+        done = core.stream(segments)
+        obs.recorder.finish(caller, engine.now)
+        assert engine.run(done) == mib(4)
+    spans = obs.recorder.spans
+    (stream,) = [s for s in spans if s.component == "stream"]
+    assert not [s for s in spans if s.component == "process"]
+    assert stream.name == "c0.stream"
+    assert stream.parent_id == caller.span_id
+    assert stream.start_ns == 0.0 and stream.end_ns == engine.now
+    assert stream.attrs["core"] == "c0"
+    assert (stream.attrs["label"], stream.attrs["remote"]) == ("remote", True)
+    assert stream.attrs["cat_dram_ns"] > 0
+    assert stream.attrs["cat_link_ns"] > 0 and stream.attrs["cat_fabric_ns"] > 0
+    assert not any(k.startswith("cat_") for k in caller.attrs)
+    charged = sum(stream.attrs[f"cat_{c}_ns"] for c in ("dram", "link", "fabric"))
+    assert charged == pytest.approx(stream.duration_ns)
+
+
 def test_same_seed_runs_export_identical_chrome_trace():
     obs_a, _ = _drive()
     obs_b, _ = _drive()
@@ -400,6 +441,39 @@ def test_figure2_solver_line_shows_grouping(tmp_path):
     assert load_solver_totals(tmp_path / "figure2") == {
         name: float(value) for name, value in totals.items()
     }
+
+
+def test_figure2_solver_line_reports_reuse_and_rearms(tmp_path):
+    """On a figure 2 vector sum the solver serves repeated multi-group
+    solves from its table and re-arms its one tick less often than it
+    starts transfers; `repro obs` prints both counts."""
+    from repro.core.pool import PhysicalMemoryPool
+    from repro.topology.builder import build_physical
+    from repro.units import gib
+    from repro.workloads.vector_sum import run_vector_sum
+
+    obs = Observability()
+    with obs.activated():
+        deployment = build_physical("link1", cache=True)
+        fluid = deployment.fluid
+        transfers = []
+        start = fluid.transfer
+
+        def counted(*args, **kwargs):
+            transfers.append(args[1])
+            return start(*args, **kwargs)
+
+        fluid.transfer = counted
+        run_vector_sum(PhysicalMemoryPool(deployment), gib(8), repetitions=3)
+    totals = obs.solver_totals()
+    assert totals is not None
+    assert 0 < totals["solves_reused"] < totals["recomputes"] - totals["single_group_recomputes"]
+    assert 0 < totals["ticks_rearmed"] < len(transfers)
+    line = solver_line(totals)
+    assert f"{totals['solves_reused']} reused" in line
+    assert f"{totals['ticks_rearmed']} ticks re-armed" in line
+    obs.dump(tmp_path / "figure2")
+    assert line in summarize_dump(tmp_path / "figure2")
 
 
 def test_observability_leaves_simulation_untouched():

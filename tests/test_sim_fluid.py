@@ -10,6 +10,7 @@ cases (hypothesis).
 from __future__ import annotations
 
 import math
+import typing as _t
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,9 +293,13 @@ def reference_completions(
 def model_completions(
     rates: dict[str, float],
     flows: list[tuple[float, tuple[str, ...], float, float]],
+    watch: _t.Callable[[Engine, FluidModel], None] | None = None,
 ) -> list[float]:
-    """The same scenario through FluidModel on an engine."""
+    """The same scenario through FluidModel on an engine; *watch*, when
+    given, instruments the engine and model before any flow starts."""
     engine, fluid = make()
+    if watch is not None:
+        watch(engine, fluid)
     caps = {name: Capacity(name, rate) for name, rate in rates.items()}
     done = [math.nan] * len(flows)
 
@@ -392,30 +397,33 @@ def test_single_group_fast_path_is_bit_identical_to_reference(n, rate_cap):
 
 _CAP_NAMES = ("a", "b", "c")
 _PATHS = (("a",), ("a", "b"), ("b", "c"), ("a", "b", "c"), ("c", "a", "c"))
+_FLOW_SETS = st.lists(
+    st.tuples(
+        st.sampled_from((0.0, 5.0, 12.5, 40.0)),
+        st.sampled_from(_PATHS),
+        st.integers(1, 2000).map(float),
+        st.sampled_from((math.inf, 0.75, 1.5, 4.0)),
+    ),
+    min_size=1,
+    max_size=10,
+)
+_RATE_SETS = st.tuples(*(st.sampled_from((3.0, 8.0, 12.5)) for _ in _CAP_NAMES))
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    flows=st.lists(
-        st.tuples(
-            st.sampled_from((0.0, 5.0, 12.5, 40.0)),
-            st.sampled_from(_PATHS),
-            st.integers(1, 2000).map(float),
-            st.sampled_from((math.inf, 0.75, 1.5, 4.0)),
-        ),
-        min_size=1,
-        max_size=10,
-    ),
-    rates=st.tuples(*(st.sampled_from((3.0, 8.0, 12.5)) for _ in _CAP_NAMES)),
-)
+@given(flows=_FLOW_SETS, rates=_RATE_SETS)
 def test_grouped_solver_matches_per_flow_reference(flows, rates):
     """Staggered flows with equal and mixed caps, shared paths, and one
     path that visits a node twice: every completion time agrees with
-    the per-flow reference."""
+    the per-flow reference, and every wake-up keeps the tick protocol
+    (see :func:`watch_ticks`)."""
     capacity = dict(zip(_CAP_NAMES, rates))
-    assert model_completions(capacity, flows) == pytest.approx(
-        reference_completions(capacity, flows), rel=1e-9
+    seen = {"acted": 0, "rearmed": 0, "superseded": 0}
+    model = model_completions(
+        capacity, flows, watch=lambda engine, fluid: watch_ticks(engine, fluid, seen)
     )
+    assert model == pytest.approx(reference_completions(capacity, flows), rel=1e-9)
+    assert seen["acted"] >= 1
 
 
 def test_hybrid_settle_exposes_midflight_progress():
@@ -472,3 +480,160 @@ def test_hybrid_aggregate_throughput_equals_capacity(sizes, rate):
     flows = [fluid.transfer([link], size) for size in sizes]
     engine.run(engine.all_of(flows))
     assert engine.now == pytest.approx(sum(sizes) / rate, rel=1e-6)
+
+
+# -- one live tick, reused solves -------------------------------------------
+
+
+def watch_ticks(engine: Engine, fluid: FluidModel, seen: dict[str, int]) -> None:
+    """Check the tick protocol at every wake-up and count the outcomes.
+
+    *expected* is the wake time the latest solve asked for, worked out
+    here from the horizon it passed: ``now + horizon``, floored at four
+    ulps of the clock.  At most one tick of the model is live on the
+    heap; a live tick either acts exactly at *expected* or, fired early,
+    re-arms itself at exactly *expected*; a superseded tick does nothing.
+    """
+    expected = [math.inf]
+    recompute, schedule, on_tick = fluid._recompute, fluid._schedule_next_tick, fluid._on_tick
+
+    def watched_recompute() -> None:
+        expected[0] = math.inf  # unless the solve asks for a wake
+        recompute()
+
+    def watched_schedule(horizon: float) -> None:
+        now = engine.now
+        if horizon != math.inf:
+            expected[0] = now + max(horizon, 4.0 * math.ulp(now))
+        schedule(horizon)
+
+    def watched_tick(tick) -> None:
+        live = [e for _when, _seq, e in engine._heap if e is fluid._tick]
+        assert len(live) <= (0 if tick is fluid._tick else 1)
+        if tick is not fluid._tick:
+            seen["superseded"] += 1
+            before = (fluid._last_advance, len(engine._heap))
+            on_tick(tick)
+            assert (fluid._last_advance, len(engine._heap)) == before
+        elif engine.now < expected[0]:
+            seen["rearmed"] += 1
+            on_tick(tick)
+            assert [when for when, _seq, e in engine._heap if e is tick] == [expected[0]]
+        else:
+            seen["acted"] += 1
+            assert engine.now == expected[0]
+            on_tick(tick)
+
+    fluid._recompute = watched_recompute  # type: ignore[method-assign]
+    fluid._schedule_next_tick = watched_schedule  # type: ignore[method-assign]
+    fluid._on_tick = watched_tick  # type: ignore[method-assign]
+
+
+def test_a_later_wake_rearms_the_pending_tick():
+    """Flows that join and slow the flow ahead of them move the wake
+    later: no second tick is pushed, and the first tick re-arms once, at
+    the exact wake float (here ``now + (wake - now)`` would round off
+    it), and the model counts it."""
+    engine, fluid = make()
+    seen = {"acted": 0, "rearmed": 0, "superseded": 0}
+    watch_ticks(engine, fluid, seen)
+    link = Capacity("link", 3.0)
+    first = fluid.transfer([link], 100.0)  # alone: done at 100 / 3
+    engine.run(until=10.0)
+    joined = [fluid.transfer([link], 1000.0) for _ in range(3)]
+    ticks = [e for _when, _seq, e in engine._heap if e.name == "fluid.tick"]
+    assert len(ticks) == 1
+    engine.run(engine.all_of([first, *joined]))
+    assert first.value == 10.0 + (100.0 - 30.0) / 0.75
+    assert engine.now == pytest.approx(3100.0 / 3.0)
+    assert fluid.ticks_rearmed == seen["rearmed"] == 1
+    assert seen["superseded"] == 0
+
+
+def test_idle_group_rejoins_from_zero_service():
+    """A group whose last member finished stays known to the model and,
+    when a flow joins it again, restarts from zero service like a fresh
+    group."""
+    engine, fluid = make()
+    link = Capacity("link", 10.0)
+    engine.run(fluid.transfer([link], 100.0, rate_cap=2.0))
+    (group,) = fluid._known.values()
+    assert group.service > 0.0 and not fluid._groups
+    started = engine.now
+    done = fluid.transfer([link], 50.0, rate_cap=2.0)
+    assert fluid._groups[((link,), 2.0)] is group
+    assert group.service == 0.0
+    engine.run(done)
+    assert engine.now == started + 25.0
+
+
+def _solver_state(engine: Engine, fluid: FluidModel, caps: list[Capacity]) -> tuple:
+    return (
+        engine.now,
+        fluid._wake,
+        tuple(group.rate for group in fluid._groups.values()),
+        tuple(cap._used_rate for cap in caps),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(flows=_FLOW_SETS, rates=_RATE_SETS)
+def test_reused_solve_is_bit_identical_to_a_fresh_one(flows, rates):
+    """The same flows three rounds over (so multi-group solve keys come
+    back) on two models in lockstep: one serves repeated solves from its
+    table, the other water-fills every time.  After every event the
+    group rates, the used rates and the wake time agree bit for bit."""
+    runs = []
+    for remember in (True, False):
+        engine, fluid = make()
+        caps = [Capacity(name, rate) for name, rate in zip(_CAP_NAMES, rates)]
+        by_name = dict(zip(_CAP_NAMES, caps))
+        if not remember:
+            recompute = fluid._recompute
+
+            def fresh(fluid=fluid, recompute=recompute) -> None:
+                fluid._solved.clear()
+                recompute()
+
+            fluid._recompute = fresh  # type: ignore[method-assign]
+        for round_start in (0.0, 1e5, 2e5):
+            for at, path, size, cap in flows:
+                route = [by_name[n] for n in path]
+                engine.timeout(round_start + at).callbacks.append(
+                    lambda _ev, fluid=fluid, route=route, size=size, cap=cap: fluid.transfer(
+                        route, size, cap
+                    )
+                )
+        runs.append((engine, fluid, caps))
+    (memo_engine, memo, memo_caps), (fresh_engine, fresh_model, fresh_caps) = runs
+    while memo_engine._heap or fresh_engine._heap:
+        memo_engine.step()
+        fresh_engine.step()
+        assert _solver_state(memo_engine, memo, memo_caps) == _solver_state(
+            fresh_engine, fresh_model, fresh_caps
+        )
+    assert fresh_model.solves_reused == 0
+    multi_group = memo.recomputes - memo.single_group_recomputes
+    assert memo.solves_reused > 0 or multi_group == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(flows=_FLOW_SETS, rates=_RATE_SETS)
+def test_bounded_tables_keep_the_solver_exact(flows, rates):
+    """With the solve table and the group registry cut to a couple of
+    entries, evictions and registry resets happen all the time, and the
+    completions still match the per-flow reference."""
+    capacity = dict(zip(_CAP_NAMES, rates))
+    models: list[FluidModel] = []
+
+    def shrink(_engine: Engine, fluid: FluidModel) -> None:
+        fluid.SOLVED_MAX = 2  # type: ignore[misc]
+        fluid.KNOWN_GROUPS_MAX = 2  # type: ignore[misc]
+        models.append(fluid)
+
+    twice = flows + [(at + 1e5, *rest) for at, *rest in flows]
+    assert model_completions(capacity, twice, watch=shrink) == pytest.approx(
+        reference_completions(capacity, twice), rel=1e-9
+    )
+    (fluid,) = models
+    assert len(fluid._solved) <= 2 and len(fluid._seen) <= 2

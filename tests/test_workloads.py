@@ -43,6 +43,29 @@ def test_physical_nocache_runs_at_link_speed(physical_nocache_pool):
     assert result.locality == 0.0
 
 
+def test_vector_sum_dispatches_few_events_per_transfer():
+    """Figure 2's Physical-cache configuration on link1, as `repro run
+    figure2` runs it: every chunk costs its latency timeout and its
+    transfer completion, and little else.  A solver that pushes a tick
+    per solve dispatches about 3.0 events per transfer here."""
+    from repro.core.pool import PhysicalMemoryPool
+    from repro.topology.builder import build_physical
+
+    deployment = build_physical("link1", cache=True)
+    fluid = deployment.fluid
+    transfers = []
+    start = fluid.transfer
+
+    def counted(*args, **kwargs):
+        transfers.append(args[1])
+        return start(*args, **kwargs)
+
+    fluid.transfer = counted
+    result = run_vector_sum(PhysicalMemoryPool(deployment), gib(8), chunk_bytes=mib(32))
+    assert result.feasible
+    assert deployment.engine.events_processed / len(transfers) <= 2.2
+
+
 def test_infeasible_returns_datapoint(physical_nocache_pool):
     result = run_vector_sum(physical_nocache_pool, gib(96), repetitions=2)
     assert not result.feasible
